@@ -10,9 +10,12 @@ of that construction are checked by independent counting routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import CheckFailed, ValidationError, get_cap
 from .ergcore import EqRel, FinAction, FinSpace, GroupElement, Perm, in_full_group, orbit_relation, phi
@@ -47,6 +50,8 @@ class FreeGroupAction:
         for e in self.elements:
             for x in range(base.space.size):
                 self._transport[(x, e.perm(x))] = e.name
+        self._orbits: EqRel | None = None
+        self._products: dict[tuple[str, str], str] = {}
 
     @property
     def size(self) -> int:
@@ -67,11 +72,20 @@ class FreeGroupAction:
         except KeyError:
             raise ValidationError("permutation is not an element of the group") from None
 
+    # Freeness means an element is known by where it sends point 0, so
+    # products and inverses are read off the transport table and no Perm
+    # is composed. Products fill a multiplication table as they are asked.
+
     def mult(self, left: str, right: str) -> str:
-        return self.name_of(self.perm_of(left) * self.perm_of(right))
+        name = self._products.get((left, right))
+        if name is None:
+            lhs = self.perm_of(left).images
+            name = self._transport[(0, lhs[self.perm_of(right).images[0]])]
+            self._products[(left, right)] = name
+        return name
 
     def inverse_name(self, name: str) -> str:
-        return self.name_of(self.perm_of(name).inverse())
+        return self._transport[(self.perm_of(name).images[0], 0)]
 
     def transporter(self, src: int, dst: int) -> str:
         """The unique element carrying src to dst."""
@@ -83,7 +97,10 @@ class FreeGroupAction:
             ) from None
 
     def orbit_relation(self) -> EqRel:
-        return orbit_relation(self.base)
+        """The orbits of the group, computed once per action."""
+        if self._orbits is None:
+            self._orbits = orbit_relation(self.base)
+        return self._orbits
 
 
 class TargetAction:
@@ -156,8 +173,9 @@ def semidirect_mul(
     vector) pairs: (p1, d1)(p2, d2) = (p1 p2, n -> d1[n] * d2[p1^-1(n)])."""
     p1, d1 = first
     p2, d2 = second
-    p1inv = p1.inverse()
-    return (p1 * p2, tuple(a0.mult(d1[n], d2[p1inv(n)]) for n in range(len(d1))))
+    p1inv = p1.inverse().images
+    mult = a0.mult
+    return (p1 * p2, tuple([mult(d1[n], d2[p1inv[n]]) for n in range(len(d1))]))
 
 
 @dataclass(frozen=True)
@@ -187,6 +205,14 @@ class CoinducedSystem:
     target action (a), the choice system, and accessors for the product
     maps. The product space X x Y^N is materialized only under a cap;
     identities fall back to factorized counting above it.
+
+    The point (x, ybar) of the product has the code
+    x * Y^N + sum_n ybar[n] * Y^(N-1-n). The materialized routes never
+    decode points one by one: `base_column` and `digit_column` give a
+    coordinate of every code as an integer array, `product_perm` builds
+    its images one x-block of Y^N codes at a time by array gathers, and
+    the checks compare, count and fold on those arrays. Transports
+    rho(x, y), product maps and target images are cached on the system.
     """
 
     def __init__(
@@ -213,7 +239,9 @@ class CoinducedSystem:
         self.product_size = self.x_size * self.y_size**self.N
         self._cap = get_cap("product", cap)
         self.materialized = self.product_size <= self._cap
-        self._perm_cache: dict[tuple[int, ...], Perm] = {}
+        self._perm_cache: dict[tuple[int, ...], tuple[Perm, np.ndarray]] = {}
+        self._rho: dict[tuple[int, int], tuple[Perm, tuple[str, ...]]] = {}
+        self._target_images: dict[str, np.ndarray] = {}
 
     # -- product coordinates ------------------------------------------------
 
@@ -230,11 +258,24 @@ class CoinducedSystem:
             digits.append(d)
         return idx, tuple(reversed(digits))
 
+    def base_column(self) -> np.ndarray:
+        """The base point x of every product code, indexed by code."""
+        return np.arange(self.product_size, dtype=np.int64) // self.y_size**self.N
+
+    def digit_column(self, n: int) -> np.ndarray:
+        """The coordinate ybar[n] of every product code, indexed by code."""
+        codes = np.arange(self.product_size, dtype=np.int64)
+        return (codes // self.y_size ** (self.N - 1 - n)) % self.y_size
+
     # -- transport ------------------------------------------------------------
 
     def rho(self, x: int, y: int) -> tuple[Perm, tuple[str, ...]]:
         """Pair transport: slot permutation and element vector from x to y."""
-        return index_cocycle(self.cs, x, y), delta_bar(self.cs, self.a0, x, y)
+        hit = self._rho.get((x, y))
+        if hit is None:
+            hit = index_cocycle(self.cs, x, y), delta_bar(self.cs, self.a0, x, y)
+            self._rho[(x, y)] = hit
+        return hit
 
     def apply_transport(
         self, pi: Perm, dbar: tuple[str, ...], ybar: Sequence[int]
@@ -249,27 +290,50 @@ class CoinducedSystem:
         pi, dbar = self.rho(x, g(x))
         return g(x), self.apply_transport(pi, dbar, ybar)
 
+    def _target_array(self, name: str) -> np.ndarray:
+        """The target permutation of a small-group element as an array."""
+        arr = self._target_images.get(name)
+        if arr is None:
+            arr = np.array(self.a.perm(name).images, dtype=np.int64)
+            self._target_images[name] = arr
+        return arr
+
     def product_perm(self, g: Perm) -> Perm:
-        """The materialized product permutation of g (requires the cap)."""
+        """The materialized product permutation of g (requires the cap).
+
+        The block of x holds the codes of (x, ybar) for every ybar; it
+        goes to the block of g(x), where digit n is the image of digit
+        pi^-1(n) under the target image of dbar[n], for (pi, dbar) =
+        rho(x, g(x)).
+        """
         if not self.materialized:
             raise ValidationError(
                 f"product space of size {self.product_size} exceeds the cap {self._cap}"
             )
         if g.images in self._perm_cache:
-            return self._perm_cache[g.images]
+            return self._perm_cache[g.images][0]
         if not in_full_group(self.cs.F, g):
             raise ValidationError("the map must preserve each ambient class")
-        images = [0] * self.product_size
-        ybars = _tuples(self.y_size, self.N)
+        block = self.y_size**self.N
+        local = np.arange(block, dtype=np.int64)
+        places = [self.y_size ** (self.N - 1 - n) for n in range(self.N)]
+        digits = [(local // w) % self.y_size for w in places]
+        images = np.empty(self.product_size, dtype=np.int64)
         for x in range(self.x_size):
-            pi, dbar = self.rho(x, g(x))
             gx = g(x)
-            for ybar in ybars:
-                nx, nybar = gx, self.apply_transport(pi, dbar, ybar)
-                images[self.encode(x, ybar)] = self.encode(nx, nybar)
-        perm = Perm(images)
-        self._perm_cache[g.images] = perm
+            pi, dbar = self.rho(x, gx)
+            out = np.full(block, gx * block, dtype=np.int64)
+            for n, src in enumerate(pi.inverse().images):
+                out += places[n] * self._target_array(dbar[n])[digits[src]]
+            images[x * block : (x + 1) * block] = out
+        perm = Perm(images.tolist())
+        self._perm_cache[g.images] = (perm, images)
         return perm
+
+    def product_images(self, g: Perm) -> np.ndarray:
+        """product_perm(g) as an int64 array indexed by code."""
+        self.product_perm(g)
+        return self._perm_cache[g.images][1]
 
     def a_prime_perm(self, delta_name: str) -> Perm:
         return self.product_perm(self.a0.perm_of(delta_name))
@@ -283,13 +347,6 @@ class CoinducedSystem:
         if isinstance(gamma, Perm):
             return gamma
         raise ValidationError("group element must be a name or a permutation")
-
-
-def _tuples(base: int, length: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(length):
-        out = [t + (v,) for t in out for v in range(base)]
-    return out
 
 
 def coinduced_action(
@@ -321,43 +378,40 @@ def coinduced_action(
         return sys
 
     gammas = b0.closure()
-    b_perms = {g.name: sys.product_perm(g.perm) for g in gammas}
+    b_maps = {g.name: sys.product_images(g.perm) for g in gammas}
     # action law: the product map of a composite is the composite of maps
     name_of = {g.perm.images: g.name for g in gammas}
     for g1 in gammas:
         for g2 in gammas:
             composite = name_of[(g1.perm * g2.perm).images]
-            if b_perms[composite] != b_perms[g1.name] * b_perms[g2.name]:
+            if not np.array_equal(b_maps[composite], b_maps[g1.name][b_maps[g2.name]]):
                 raise CheckFailed("product maps do not compose as an action")
+    codes = np.arange(sys.product_size, dtype=np.int64)
     b0_free = all(
         not g.perm.fixed_points() for g in gammas if not g.perm.is_identity()
     )
     if b0_free:
         for g in gammas:
-            if not g.perm.is_identity() and b_perms[g.name].fixed_points():
+            if not g.perm.is_identity() and np.any(b_maps[g.name] == codes):
                 raise CheckFailed("freeness of the ambient action was lost in the product")
     for d in a0.elements:
-        ap = sys.a_prime_perm(d.name)
-        if not d.perm.is_identity() and ap.fixed_points():
+        if not d.perm.is_identity() and np.any(sys.product_images(d.perm) == codes):
             raise CheckFailed("the small-group product action is not free")
     # factor equivariance
+    base = sys.base_column()
+    first = sys.digit_column(0)
     for g in gammas:
-        bp = b_perms[g.name]
-        for idx in range(sys.product_size):
-            x, _ = sys.decode(idx)
-            nx, _ = sys.decode(bp(idx))
-            if nx != g.perm(x):
-                raise CheckFailed("projection to the base space is not equivariant")
+        if not np.array_equal(base[b_maps[g.name]], np.array(g.perm.images)[base]):
+            raise CheckFailed("projection to the base space is not equivariant")
     for d in a0.elements:
-        ap = sys.a_prime_perm(d.name)
-        ay = a.perm(d.name)
-        for idx in range(sys.product_size):
-            x, ybar = sys.decode(idx)
-            nx, nybar = sys.decode(ap(idx))
-            if nx != d.perm(x):
-                raise CheckFailed("projection of the small action to the base is not equivariant")
-            if nybar[0] != ay(ybar[0]):
-                raise CheckFailed("first-coordinate projection onto the target action failed")
+        ap = sys.product_images(d.perm)
+        base_ok = base[ap] == np.array(d.perm.images)[base]
+        first_ok = first[ap] == sys._target_array(d.name)[first]
+        bad = np.flatnonzero(~(base_ok & first_ok))
+        if bad.size and not base_ok[bad[0]]:
+            raise CheckFailed("projection of the small action to the base is not equivariant")
+        if bad.size:
+            raise CheckFailed("first-coordinate projection onto the target action failed")
     return sys
 
 
@@ -417,6 +471,18 @@ def phi_kn(
     return Fraction(hits, cs.size)
 
 
+def _pair_counts(a: np.ndarray, b: np.ndarray, base: int):
+    """(a * base + b, count) for each value pair (a[i], b[i]) that occurs."""
+    cells = a * base + b
+    if base * base <= len(cells):
+        counts = np.bincount(cells, minlength=base * base)
+        present = np.flatnonzero(counts)
+        return zip(present.tolist(), counts[present].tolist())
+    # sparse: base^2 cells would outnumber the points (one slot, large target)
+    present, counts = np.unique(cells, return_counts=True)
+    return zip(present.tolist(), counts.tolist())
+
+
 def check_thm33_identity(
     sys: CoinducedSystem, b_set: Sequence[int], gamma
 ) -> MixingIdentityReport:
@@ -441,32 +507,25 @@ def check_thm33_identity(
     phi_val = phi(sys.cs.E, g)
     rhs = p * phi_val + p * p * (1 - phi_val)
 
+    y_size = sys.y_size
     b_lookup = set(b_pts)
-    num = Fraction(0)
+    total = 0  # the overlap times X * Y^2
     for x in range(sys.x_size):
         pi, dbar = sys.rho(x, g(x))
-        j = pi.inverse()(0)
         dperm = sys.a.perm(dbar[0])
-        if j == 0:
-            hits = sum(1 for y in b_pts if dperm(y) in b_lookup)
-            num += Fraction(hits, sys.y_size)
+        if pi(0) == 0:
+            total += y_size * sum(1 for y in b_pts if dperm(y) in b_lookup)
         else:
-            hits = sum(1 for y in range(sys.y_size) if dperm(y) in b_lookup)
-            num += p * Fraction(hits, sys.y_size)
-    lhs_fact = num / sys.x_size
+            total += len(b_pts) * sum(1 for y in range(y_size) if dperm(y) in b_lookup)
+    lhs_fact = Fraction(total, sys.x_size * y_size * y_size)
 
     lhs_mat = None
     if sys.materialized:
-        bp = sys.product_perm(g)
-        count = 0
-        for idx in range(sys.product_size):
-            _, ybar = sys.decode(idx)
-            if ybar[0] not in b_lookup:
-                continue
-            _, nybar = sys.decode(bp(idx))
-            if nybar[0] in b_lookup:
-                count += 1
-        lhs_mat = Fraction(count, sys.product_size)
+        in_b = np.zeros(y_size, dtype=bool)
+        in_b[np.array(b_pts, dtype=np.int64)] = True
+        starts_in_b = in_b[sys.digit_column(0)]
+        count = np.count_nonzero(starts_in_b & starts_in_b[sys.product_images(g)])
+        lhs_mat = Fraction(int(count), sys.product_size)
         if lhs_mat != lhs_fact:
             raise CheckFailed("factorized and materialized overlap counts disagree")
     if lhs_fact != rhs:
@@ -490,6 +549,12 @@ def check_prop34_pairing(
     action, the pairing of the n-th coordinate copy of f moved by g
     against the k-th copy equals (slot statistic at (k, n)) * ||f||^2.
     Factorized and materialized routes must both match exactly.
+
+    Both routes fold in integers: f is scaled to integer numerators over
+    the least common denominator D. The materialized route counts the
+    (ybar_k, g.ybar_n) value pairs over all product codes, from the
+    digit columns and the product images, and folds the Y^2 cells with
+    Python ints; each route builds one Fraction at the end.
     """
     g = sys.resolve_gamma(gamma)
     if not in_full_group(sys.cs.F, g):
@@ -499,43 +564,38 @@ def check_prop34_pairing(
     vals = [Fraction(v) for v in f]
     if len(vals) != sys.y_size:
         raise ValidationError("observable length differs from the target space")
-    if sum(vals) != 0:
+    den = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]  # f = nums / den
+    if sum(nums) != 0:
         raise ValidationError("observable must have zero mean")
     for d in sys.a0.elements:
         dp = sys.a.perm(d.name)
-        if any(vals[dp(y)] != vals[y] for y in range(sys.y_size)):
+        if any(nums[dp(y)] != nums[y] for y in range(sys.y_size)):
             raise ValidationError(f"observable is not invariant under element {d.name}")
-    norm_sq = sum((v * v for v in vals), Fraction(0)) / sys.y_size
-    phi_val = phi_kn(sys.cs, sys.b0, k, n, g)
-    rhs = phi_val * norm_sq
+    y_size = sys.y_size
+    norm_sq = Fraction(sum(v * v for v in nums), den * den * y_size)
 
-    mean = Fraction(0)  # zero mean is a precondition; keep the term explicit
-    num = Fraction(0)
+    mean = 0  # numerator of the mean over D: zero by the precondition, kept explicit
+    hits = 0  # points whose slot permutation sends k to n
+    total = 0  # the pairing times X * Y * D^2
     for x in range(sys.x_size):
         pi, dbar = sys.rho(x, g(x))
-        j = pi.inverse()(n)
         dperm = sys.a.perm(dbar[n])
-        if j == k:
-            num += sum(
-                (vals[dperm(y)] * vals[y] for y in range(sys.y_size)),
-                Fraction(0),
-            ) / sys.y_size
+        if pi(k) == n:
+            hits += 1
+            total += sum(nums[dperm(y)] * nums[y] for y in range(y_size))
         else:
-            moved_mean = sum(
-                (vals[dperm(y)] for y in range(sys.y_size)), Fraction(0)
-            ) / sys.y_size
-            num += moved_mean * mean
-    lhs_fact = num / sys.x_size
+            total += sum(nums[dperm(y)] for y in range(y_size)) * mean
+    lhs_fact = Fraction(total, sys.x_size * y_size * den * den)
+    phi_val = Fraction(hits, sys.x_size)  # phi_kn(cs, b0, k, n, g) off the cached transports
+    rhs = phi_val * norm_sq
 
     lhs_mat = None
     if sys.materialized:
-        bp = sys.product_perm(g)
-        total = Fraction(0)
-        for idx in range(sys.product_size):
-            _, ybar = sys.decode(idx)
-            _, nybar = sys.decode(bp(idx))
-            total += vals[nybar[n]] * vals[ybar[k]]
-        lhs_mat = total / sys.product_size
+        moved = sys.digit_column(n)[sys.product_images(g)]
+        pairs = _pair_counts(sys.digit_column(k), moved, y_size)
+        total = sum(c * nums[cell // y_size] * nums[cell % y_size] for cell, c in pairs)
+        lhs_mat = Fraction(total, sys.product_size * den * den)
         if lhs_mat != lhs_fact:
             raise CheckFailed("factorized and materialized pairings disagree")
     if lhs_fact != rhs:

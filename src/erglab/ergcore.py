@@ -56,9 +56,17 @@ class Perm:
             raise ValidationError(f"not a permutation of 0..{m - 1}: {imgs}")
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap images known to form a permutation (an identity, or a
+        product or inverse of valid perms) without re-checking them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @staticmethod
     def identity(m: int) -> "Perm":
-        return Perm(range(m))
+        return Perm._trusted(tuple(range(m)))
 
     @staticmethod
     def from_cycles(m: int, cycles: Iterable[Sequence[int]]) -> "Perm":
@@ -83,13 +91,14 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if self.size != other.size:
             raise ValidationError("permutation sizes differ")
-        return Perm(tuple(self.images[v] for v in other.images))
+        imgs = self.images
+        return Perm._trusted(tuple([imgs[v] for v in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.size
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:

@@ -75,8 +75,32 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be an object")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    _require(
+        isinstance(value, (list, tuple)) and all(_is_int(v) for v in value),
+        f"{what} must be an array of integers",
+    )
+    return tuple(value)
+
+
+def _name(value, what: str) -> None:
+    _require(isinstance(value, str), f"{what} must be a name")
+
+
 def load_instance(source) -> Instance:
-    """Build live objects from a document (dict, JSON text, or path)."""
+    """Build live objects from a document (dict, JSON text, or path).
+
+    Any malformed document raises ValidationError.
+    """
     if isinstance(source, dict):
         doc = source
     else:
@@ -90,32 +114,34 @@ def load_instance(source) -> Instance:
     _require("space" in doc, "instance is missing the space block")
     space_blk = doc["space"]
     _require(
-        isinstance(space_blk, dict) and isinstance(space_blk.get("size"), int),
+        isinstance(space_blk, dict) and _is_int(space_blk.get("size")),
         "space.size must be an integer",
     )
     space = FinSpace(space_blk["size"])
     m = space.size
 
     perms: dict[str, Perm] = {}
-    for name, images in dict(doc.get("perms", {})).items():
-        _require(isinstance(images, list), f"perm {name!r} must be an image array")
-        perms[name] = Perm(tuple(int(v) for v in images))
+    for name, images in _object(doc.get("perms", {}), "perms").items():
+        perms[name] = Perm(_ints(images, f"perm {name!r}"))
         _require(perms[name].size == m, f"perm {name!r} acts on the wrong space")
 
     relations: dict[str, EqRel] = {}
-    for name, classes in dict(doc.get("relations", {})).items():
+    for name, classes in _object(doc.get("relations", {}), "relations").items():
         _require(isinstance(classes, list), f"relation {name!r} must be a class list")
-        relations[name] = EqRel(m, [tuple(int(x) for x in c) for c in classes])
+        relations[name] = EqRel(m, [_ints(c, f"a class of relation {name!r}") for c in classes])
 
     actions: dict[str, FinAction] = {}
-    for name, blk in dict(doc.get("actions", {})).items():
+    for name, blk in _object(doc.get("actions", {}), "actions").items():
         _require(isinstance(blk, dict), f"action {name!r} must be an object")
         gen_names = blk.get("generators")
         inverses = blk.get("inverses")
         _require(isinstance(gen_names, list) and gen_names, f"action {name!r} needs generators")
         _require(isinstance(inverses, dict), f"action {name!r} needs an inverse pairing")
+        for label in inverses.values():
+            _name(label, f"an inverse label of action {name!r}")
         gens = []
         for g in gen_names:
+            _name(g, f"a generator of action {name!r}")
             _require(g in perms, f"action {name!r} references unknown perm {g!r}")
             gens.append((g, perms[g]))
         actions[name] = FinAction(space, gens, dict(inverses))
@@ -124,27 +150,30 @@ def load_instance(source) -> Instance:
     if "a0" in doc or "b0" in doc or "a" in doc:
         for key in ("a0", "b0", "a"):
             _require(key in doc, f"co-induction block is missing {key!r}")
-        a0_blk, b0_blk, a_blk = doc["a0"], doc["b0"], doc["a"]
-        _require(a0_blk.get("action") in actions, "a0 references an unknown action")
-        _require(b0_blk.get("action") in actions, "b0 references an unknown action")
+        a0_blk = _object(doc["a0"], "a0")
+        b0_blk = _object(doc["b0"], "b0")
+        a_blk = _object(doc["a"], "a")
+        for key, blk in (("a0", a0_blk), ("b0", b0_blk)):
+            action = blk.get("action")
+            _require(
+                isinstance(action, str) and action in actions,
+                f"{key} references an unknown action",
+            )
         a0 = FreeGroupAction(actions[a0_blk["action"]])
         if a0_blk.get("free") is False:
             raise ValidationError("a0 must be declared free")
         b0 = actions[b0_blk["action"]]
-        _require(
-            isinstance(a_blk.get("target_size"), int),
-            "a.target_size must be an integer",
-        )
-        images_blk = a_blk.get("images", {})
+        _require(_is_int(a_blk.get("target_size")), "a.target_size must be an integer")
         images = {
-            name: Perm(tuple(int(v) for v in arr))
-            for name, arr in dict(images_blk).items()
+            name: Perm(_ints(arr, f"image of {name!r}"))
+            for name, arr in _object(a_blk.get("images", {}), "a.images").items()
         }
         target = TargetAction(a0, FinSpace(a_blk["target_size"]), images)
-        checks = tuple(doc.get("checks", list(KNOWN_CHECKS)))
+        checks = doc.get("checks", list(KNOWN_CHECKS))
+        _require(isinstance(checks, (list, tuple)), "checks must be a list")
         for c in checks:
             _require(c in KNOWN_CHECKS, f"unknown check {c!r}")
-        coinduce = CoinduceSpec(a0=a0, b0=b0, a=target, checks=checks)
+        coinduce = CoinduceSpec(a0=a0, b0=b0, a=target, checks=tuple(checks))
 
     return Instance(
         doc=doc,

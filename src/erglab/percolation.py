@@ -15,6 +15,7 @@ min-member cluster labels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -183,6 +184,9 @@ class CayleyBall:
     edges: np.ndarray  # (E, 2) int64, each row (i, j) with i < j
     boundary: tuple[int, ...]
     _index: dict | None = field(default=None, repr=False)
+    # True when vertices are the reduced words over the standard free
+    # letters: a word's level is then its length, and each level is sorted
+    _reduced_words: bool = field(default=False, repr=False)
     _forest: tuple | None = field(default=None, repr=False)
     _edge_table: dict | None = field(default=None, repr=False)
 
@@ -195,6 +199,8 @@ class CayleyBall:
         return len(self.edges)
 
     def index_of(self, element) -> int:
+        if self._reduced_words:
+            return self._word_index(self.model.key(element))
         if self._index is None:
             self._index = {
                 self.model.key(v): i for i, v in enumerate(self.vertices)
@@ -203,6 +209,19 @@ class CayleyBall:
             return self._index[self.model.key(element)]
         except KeyError:
             raise ValidationError("target outside ball") from None
+
+    def _word_index(self, key) -> int:
+        """Binary search of a word inside the level of its length."""
+        d = len(key)
+        if d <= self.radius:
+            lo, hi = np.searchsorted(self.distances, [d, d + 1]).tolist()
+            try:
+                i = bisect_left(self.vertices, key, lo, hi, key=self.model.key)
+            except TypeError:  # letters that do not compare with ints
+                i = hi
+            if i < hi and self.model.key(self.vertices[i]) == key:
+                return i
+        raise ValidationError("target outside ball")
 
     def description(self) -> dict:
         return {
@@ -364,6 +383,7 @@ def _free_ball(model: FreeModel, qc: list, r: int, capn: int) -> CayleyBall:
         distances=dist_arr,
         edges=edge_arr,
         boundary=boundary,
+        _reduced_words=True,
     )
 
 

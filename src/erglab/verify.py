@@ -331,7 +331,7 @@ def suite_phi_correspondence(count: int = 25, size: int = 10, seed: int = 0) -> 
             a_sets = {"g": sorted(a1), "g_inv": sorted(p(x) for x in a1)}
         try:
             action_to_percolation(action, a_sets, r=2)
-        except Exception as exc:  # any raise here is an identity violation
+        except (CheckFailed, ValidationError) as exc:  # the dictionary rejected the instance
             failures.append(f"instance {i}: {exc}")
     return SuiteResult("phi_correspondence", count, tuple(failures))
 

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from erglab import SuiteResult, instance_hash, make_cyclic
+from erglab import (
+    SuiteResult,
+    ValidationError,
+    instance_hash,
+    load_instance,
+    make_coinduce_ready,
+    make_cyclic,
+)
 from erglab.cli import main
 
 
@@ -286,6 +293,46 @@ def test_malformed_json_file(tmp_path):
     path.write_text("{not json")
     code, _ = run(tmp_path, "phi", "--instance", str(path))
     assert code == 1
+
+
+MALFORMED_BASES = {
+    "bare": lambda: {"space": {"size": 1}},
+    "cyclic": lambda: make_cyclic(6),
+    "coinduce": lambda: make_coinduce_ready(4, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        ("cyclic", ["perms"], [1, 2]),
+        ("cyclic", ["perms", "g"], [1, 2, 3, 4, 5, "x"]),
+        ("cyclic", ["perms", "g"], [1.0, 2, 3, 4, 5, 0]),
+        ("bare", ["space", "size"], True),
+        ("cyclic", ["actions", "main", "generators"], [["g"], "g_inv"]),
+        ("cyclic", ["actions", "main", "inverses", "g"], ["g_inv"]),
+        ("cyclic", ["relations", "E"], [0, [1, 2, 3, 4, 5]]),
+        ("cyclic", ["actions"], ["main"]),
+        ("coinduce", ["a0"], []),
+        ("coinduce", ["a0", "action"], ["sub"]),
+        ("coinduce", ["a", "images", "d^1"], ["x", 0]),
+        ("coinduce", ["a", "target_size"], False),
+        ("coinduce", ["checks"], 3),
+    ],
+)
+def test_malformed_documents_are_validation_exits(tmp_path, capsys, base, path, value):
+    doc = MALFORMED_BASES[base]()
+    blk = doc
+    for key in path[:-1]:
+        blk = blk[key]
+    blk[path[-1]] = value
+    with pytest.raises(ValidationError):
+        load_instance(doc)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    code, _ = run(tmp_path, "phi", "--instance", str(inst))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_argparse_errors_are_validation_failures(capsys):

@@ -1,5 +1,6 @@
 """Skew-product construction and its exact counting identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,11 +24,14 @@ from erglab import (
     coinduced_action,
     delta_bar,
     index_cocycle,
+    load_instance,
+    make_coinduce_ready,
     orbit_relation,
     phi,
     phi_kn,
     semidirect_mul,
 )
+from erglab.verify import _doubled_target, _invariant_observables, _target_orbit_sets
 
 
 def shift_action(m: int, step: int = 1, label: str = "g") -> FinAction:
@@ -90,6 +94,23 @@ def test_group_arithmetic(z4_pair):
     assert a0.name_of(Perm.identity(4)) == "d^0"
     with pytest.raises(ValidationError):
         a0.name_of(Perm((1, 0, 2, 3)))
+
+
+def test_group_arithmetic_matches_composition_in_a_nonabelian_group():
+    """S_3 acting freely on itself by left multiplication."""
+    elems = [Perm(p) for p in itertools.permutations(range(3))]
+    where = {e: i for i, e in enumerate(elems)}
+
+    def left(s: Perm) -> Perm:
+        return Perm([where[s * e] for e in elems])
+
+    gens = [("s", left(Perm((1, 0, 2)))), ("t", left(Perm((0, 2, 1))))]
+    a0 = FreeGroupAction(FinAction(FinSpace(6), gens, {"s": "s", "t": "t"}))
+    assert a0.size == 6
+    for g in a0.elements:
+        assert a0.perm_of(a0.inverse_name(g.name)) == g.perm.inverse()
+        for h in a0.elements:
+            assert a0.perm_of(a0.mult(g.name, h.name)) == g.perm * h.perm
 
 
 def test_orbit_relation_of_group(z4_pair):
@@ -575,3 +596,56 @@ def test_identity_sweep_over_random_instances():
         check_prop34_pairing(
             sys, [f_val, -f_val], rng.randrange(sys.N), rng.randrange(sys.N), g
         )
+
+
+# -- array kernels against the per-point definition -----------------------------------
+
+
+@pytest.mark.parametrize("m, idx", [(4, 2), (6, 2), (9, 3), (8, 4)])
+def test_array_kernels_match_the_per_point_definition(m, idx):
+    spec = load_instance(make_coinduce_ready(m, idx)).coinduce
+    a0 = spec.a0
+    assert a0.orbit_relation() is a0.orbit_relation()
+    gammas = spec.b0.closure()
+    for target in (spec.a, _doubled_target(a0, spec.a)):
+        sys = coinduced_action(a0, spec.b0, target)
+        assert sys.materialized
+        size = sys.product_size
+        points = [sys.decode(c) for c in range(size)]
+        assert sys.base_column().tolist() == [x for x, _ in points]
+        for n in range(sys.N):
+            assert sys.digit_column(n).tolist() == [ybar[n] for _, ybar in points]
+        for g in [e.perm for e in gammas] + [d.perm for d in a0.elements]:
+            images = []
+            for x, ybar in points:
+                pi, dbar = sys.rho(x, g(x))
+                images.append(sys.encode(g(x), sys.apply_transport(pi, dbar, ybar)))
+            assert sys.product_perm(g).images == tuple(images)
+            assert sys.product_images(g).tolist() == images
+
+        slot_pairs = {(0, 0), (0, sys.N - 1), (sys.N - 1, 1 % sys.N)}
+        for gamma in gammas[:3]:
+            moved = [points[c] for c in sys.product_perm(gamma.perm).images]
+            for b_set in _target_orbit_sets(a0, target):
+                rep = check_thm33_identity(sys, sorted(b_set), gamma.name)
+                count = sum(
+                    1 for (_, yb), (_, nyb) in zip(points, moved)
+                    if yb[0] in b_set and nyb[0] in b_set
+                )
+                assert rep.lhs_materialized == Fraction(count, size) == rep.lhs_factorized
+            for f in _invariant_observables(a0, target)[:2]:
+                for k, n in slot_pairs:
+                    rep = check_prop34_pairing(sys, f, k, n, gamma.name)
+                    total = sum(f[nyb[n]] * f[yb[k]] for (_, yb), (_, nyb) in zip(points, moved))
+                    assert rep.lhs_materialized == total / size == rep.lhs_factorized
+
+
+def test_pairing_fold_when_value_pairs_outnumber_points():
+    """One slot and a target larger than the base: Y^2 cells exceed the X*Y points."""
+    b0 = shift_action(2)
+    a0 = FreeGroupAction(shift_action(2, label="d"))
+    sys = coinduced_action(a0, b0, swap_target(a0, Perm((1, 0, 2))))
+    assert sys.N == 1 and sys.y_size**2 > sys.product_size
+    for gamma in ("g^0", "g^1"):
+        rep = check_prop34_pairing(sys, [1, 1, -2], 0, 0, gamma)
+        assert rep.lhs_materialized == rep.lhs_factorized == rep.rhs == 2

@@ -568,3 +568,20 @@ def test_bfs_wordlength_not_generated():
     ls = LengthSystem(pm, [swap])
     with pytest.raises(ValidationError, match="not generated"):
         ls.wordlength(Perm.from_cycles(3, [(1, 2)]))
+
+
+def test_free_ball_index_of_searches_its_level():
+    fm = FreeModel(2)
+    ball = cayley_ball(fm, fm.letter_generators(), 5)
+    assert ball._reduced_words
+    for i, v in enumerate(ball.vertices):
+        assert ball.index_of(v) == i
+        assert ball.index_of(list(v)) == i
+    for word in [(1, 2, -1, -2, 1, 1), (1, -1), (3,), ("a",)]:
+        with pytest.raises(ValidationError, match="target outside ball"):
+            ball.index_of(word)
+    # other balls keep the lookup table
+    zd = ZdModel(2)
+    lattice = cayley_ball(zd, zd.basis_generators(), 3)
+    assert not lattice._reduced_words
+    assert [lattice.index_of(v) for v in lattice.vertices] == list(range(lattice.vertex_count))
