@@ -34,8 +34,6 @@ from .percolation import (
     FreeModel,
     ZdModel,
     cayley_ball,
-    cluster_stats,
-    percolate,
     sweep,
 )
 from .subrel import min_index_set
@@ -293,27 +291,26 @@ def _invariant_observables_cli(spec) -> list[list[Fraction]]:
     return obs
 
 
+def _row_report(row, target_labels) -> dict:
+    """One sweep row as its JSON report block."""
+    return {
+        "p": row.p,
+        "trials": row.trials,
+        "theta_hat": row.theta_hat,
+        "theta_se": row.theta_se,
+        "boundary_clusters_mean": row.boundary_clusters_mean,
+        "tau_hat": {lab: row.tau_counts[t] / row.trials for t, lab in enumerate(target_labels)},
+    }
+
+
 def _cmd_percolate(args) -> int:
     model, gens = _parse_model(args.model)
     targets = _parse_targets(args.targets, model)
     ball = cayley_ball(model, gens, args.radius)
-    if args.trials < 1:
-        raise ValidationError("at least one trial is required")
-    configs = (percolate(ball, args.p, args.seed, t) for t in range(args.trials))
-    stats = cluster_stats(configs, targets)
+    result = sweep(ball, [args.p], args.trials, args.seed, targets)
     _emit(
         args,
-        {
-            "ball": ball.description(),
-            "p": args.p,
-            "trials": stats.n,
-            "theta_hat": stats.theta_hat,
-            "theta_se": stats.theta_se,
-            "boundary_clusters_mean": stats.boundary_clusters_mean,
-            "tau_hat": {
-                lab: stats.tau_hat(t) for t, lab in enumerate(stats.target_labels)
-            },
-        },
+        {"ball": result.ball_description, **_row_report(result.rows[0], result.target_labels)},
         None,
     )
     return 0
@@ -329,25 +326,11 @@ def _cmd_sweep(args) -> int:
     if fmt == "csv":
         _write_text(args.out, result.to_csv())
         return 0
-    rows = [
-        {
-            "p": row.p,
-            "trials": row.trials,
-            "theta_hat": row.theta_hat,
-            "theta_se": row.theta_se,
-            "boundary_clusters_mean": row.boundary_clusters_mean,
-            "tau_hat": {
-                lab: row.tau_counts[t] / row.trials
-                for t, lab in enumerate(result.target_labels)
-            },
-        }
-        for row in result.rows
-    ]
     _emit(
         args,
         {
             "ball": result.ball_description,
-            "rows": rows,
+            "rows": [_row_report(row, result.target_labels) for row in result.rows],
             "monotone_exact": result.monotone_exact,
             "monotone_within_2se": result.monotone_within_2se,
         },

@@ -105,7 +105,7 @@ class FreeGroupAction:
 
 class TargetAction:
     """An action of the closed group on a second space, keyed by element
-    name, validated as a homomorphism by exhaustive multiplication."""
+    name, validated as a homomorphism on the identity and the generators."""
 
     def __init__(
         self,
@@ -123,7 +123,13 @@ class TargetAction:
         for name, p in images.items():
             if p.size != space.size:
                 raise ValidationError(f"image of {name} acts on the wrong space")
-        for n1 in names:
+        # images[g h] = images[g] images[h] for all g follows, by induction on
+        # the word length of g, from the identity and the generators alone
+        ident = group.identity_name
+        if not images[ident].is_identity():
+            raise ValidationError(f"images break multiplicativity at ({ident}, {ident})")
+        gens = {group.name_of(group.base.generator(lab)) for lab in group.base.labels}
+        for n1 in sorted(gens):
             for n2 in names:
                 if images[group.mult(n1, n2)] != images[n1] * images[n2]:
                     raise ValidationError(

@@ -6,10 +6,18 @@ a name. Balls use the left Cayley graph (edges {v, sv} for generators
 s) so that right translation acts on configurations; the dictionary
 checks depend on that orientation.
 
+Balls over the standard generators of Z^d and of free groups are built
+on arrays (coordinate codes, free-word levels); other generating sets
+use a generic breadth-first search. Both give the same vertex order.
+
 Cluster engines: "unionfind" is the reference implementation, "scipy"
 routes through sparse connected components, and "forest" is a
 vectorized fast path valid on tree balls. All three produce identical
-min-member cluster labels.
+min-member cluster labels. Sweeps fold statistics without labels:
+the forest engine reads every grid point off per-vertex thresholds,
+the scipy engine contracts components grid point by grid point as
+edges open (Newman and Ziff's order), and the union-find engine labels
+the ball once per grid point. All three give identical counters.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
@@ -287,20 +295,38 @@ def _close_generators(model, q) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
+def _check_ball_cap(size: int, capn: int) -> None:
+    """Raise as the breadth-first build does when a ball of `size` vertices
+    outgrows the cap. That build counts the vertex it is about to add and
+    never counts the identity, so the least count it reports is 2."""
+    lim = max(capn, 1)
+    if size > lim:
+        raise CapExceeded("ball", lim + 1, capn)
+
+
 def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
     """Breadth-first word-length ball of radius r for generators q.
 
     q is closed under inversion automatically; vertex order is
-    (distance, canonical key), deterministic across runs.
+    (distance, canonical key), deterministic across runs. The standard
+    generators of Z^d and of free groups take array-built fast paths
+    (`_zd_ball`, `_free_ball`) that give the same ball.
     """
     if r < 0:
         raise ValidationError("radius must be non-negative")
     capn = get_cap("ball", cap)
     qc = _close_generators(model, q)
-    if isinstance(model, FreeModel) and {model.key(s) for s in qc} == {
+    keys = {model.key(s) for s in qc}
+    if isinstance(model, FreeModel) and keys == {
         model.key(s) for s in model.letter_generators()
     }:
         return _free_ball(model, qc, r, capn)
+    if (
+        isinstance(model, ZdModel)
+        and keys == {model.key(s) for s in model.basis_generators()}
+        and (2 * r + 1) ** model.d <= 2**63
+    ):
+        return _zd_ball(model, qc, r, capn)
     ident = model.identity()
     vertices = [ident]
     dist = {model.key(ident): 0}
@@ -346,43 +372,105 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
     )
 
 
+def _zd_level_size(d: int, k: int) -> int:
+    """Points of Z^d at L1 norm k: pick i nonzero coordinates, their signs,
+    and a composition of k into i positive parts."""
+    if k == 0:
+        return 1
+    return sum(
+        2**i * math.comb(d, i) * math.comb(k - 1, i - 1) for i in range(1, min(d, k) + 1)
+    )
+
+
+def _zd_ball(model: ZdModel, qc: list, r: int, capn: int) -> CayleyBall:
+    """Fast path for the standard generators of Z^d, on coordinate arrays.
+
+    A point x of the box [-r, r]^d has the mixed-radix code
+    sum_i (x_i + r) (2r+1)^(d-1-i), whose order is the lexicographic order
+    of x; the caller checks that (2r+1)^d fits in int64. Level k is the
+    set of outward steps from level k-1, deduplicated by sorting codes,
+    so vertices come in (distance, key) order. Edges are {v, v + e_i},
+    found by searching the code of v + e_i among the ball's codes.
+    """
+    d = model.d
+    sizes = [_zd_level_size(d, k) for k in range(r + 1)]
+    _check_ball_cap(sum(sizes), capn)
+    base = 2 * r + 1
+    weight = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    levels = [np.array([(base**d - 1) // 2], dtype=np.int64)]  # every digit r
+    for _ in range(1, r + 1):
+        prev = levels[-1]
+        x = prev[:, None] // weight % base - r
+        steps = [
+            prev[sign * x[:, i] >= 0] + sign * weight[i]
+            for i in range(d)
+            for sign in (1, -1)
+        ]
+        levels.append(np.unique(np.concatenate(steps)))
+    codes = np.concatenate(levels)
+    coords = codes[:, None] // weight % base - r
+    n = len(codes)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    a, b = [], []
+    for i in range(d):
+        # where x_i = r the code carries into the next digit; the point it
+        # then names has L1 norm r + 1, so the search never finds it
+        nb = codes + weight[i]
+        pos = np.minimum(np.searchsorted(sorted_codes, nb), n - 1)
+        hit = sorted_codes[pos] == nb
+        a.append(np.flatnonzero(hit))
+        b.append(by_code[pos[hit]])
+    a, b = np.concatenate(a), np.concatenate(b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    return CayleyBall(
+        model=model,
+        q=tuple(qc),
+        radius=r,
+        vertices=tuple(map(tuple, coords.tolist())),
+        distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
+        edges=np.stack([lo[order], hi[order]], axis=1),
+        boundary=tuple(range(n - sizes[-1], n)),
+    )
+
+
 def _free_ball(model: FreeModel, qc: list, r: int, capn: int) -> CayleyBall:
-    """Fast path for the standard letters: the ball is a tree, each level
-    is emitted pre-sorted, and edges are the parent links."""
+    """Fast path for the standard letters: the ball is a tree.
+
+    Level d is the concatenation, over the sorted letters c, of c·w for
+    the level-(d-1) words w that do not start with -c. Level d-1 is
+    sorted, so that concatenation is too, and the words starting with -c
+    are one block of it. The edges join each word to its suffix w.
+    """
     letters = sorted(s[0] for s in qc)
     vertices: list[tuple[int, ...]] = [()]
-    distances = [0]
-    parents: list[int] = [0]
-    level = [(0, ())]  # (index, word)
-    edges = []
-    for d in range(1, r + 1):
-        nxt = []
-        for ch in letters:
-            for pi, w in level:
-                if w and w[0] == -ch:
-                    continue
-                if len(vertices) + len(nxt) + 1 > capn:
-                    raise CapExceeded("ball", len(vertices) + len(nxt) + 1, capn)
-                nxt.append((pi, (ch,) + w))
-        start = len(vertices)
-        nxt.sort(key=lambda t: t[1])
-        for off, (pi, w) in enumerate(nxt):
-            vertices.append(w)
-            distances.append(d)
-            parents.append(pi)
-            edges.append((pi, start + off))
-        level = [(start + off, w) for off, (pi, w) in enumerate(nxt)]
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    dist_arr = np.array(distances, dtype=np.int64)
-    boundary = tuple(int(i) for i in np.nonzero(dist_arr == r)[0])
+    sizes = [1]
+    parents = []
+    first = np.zeros(1, dtype=np.int64)  # first letter on the last level (0: the identity)
+    for _ in range(1, r + 1):
+        lo = len(vertices) - sizes[-1]
+        level = vertices[lo:]
+        blocks = [np.searchsorted(first, [-c, -c + 1]).tolist() for c in letters]
+        counts = [len(level) - (b - a) for a, b in blocks]
+        _check_ball_cap(len(vertices) + sum(counts), capn)
+        for c, (a, b) in zip(letters, blocks):
+            vertices.extend([(c,) + w for w in level[:a] + level[b:]])
+            parents.append(np.arange(lo, lo + a, dtype=np.int64))
+            parents.append(np.arange(lo + b, lo + len(level), dtype=np.int64))
+        first = np.repeat(np.array(letters, dtype=np.int64), counts)
+        sizes.append(sum(counts))
+    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int64)
+    order = np.argsort(parent, kind="stable")
+    n = len(vertices)
     return CayleyBall(
         model=model,
         q=tuple(qc),
         radius=r,
         vertices=tuple(vertices),
-        distances=dist_arr,
-        edges=edge_arr,
-        boundary=boundary,
+        distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
+        edges=np.stack([parent[order], order + 1], axis=1),
+        boundary=tuple(range(n - sizes[-1], n)),
         _reduced_words=True,
     )
 
@@ -658,6 +746,58 @@ def _forest_chunk(
     return [[int(c) for c in totals[j]] for j in pos]
 
 
+def _contract_chunk(
+    ball: CayleyBall,
+    p_list: list[float],
+    lo: int,
+    hi: int,
+    seed: int,
+    tidx: list[int],
+) -> list[list[int]]:
+    """Scipy-engine counters for trials [lo, hi), in one pass per trial
+    over the sorted distinct grid points (Newman-Ziff order, bucketed by
+    grid point).
+
+    An edge with uniform u opens at the grid points above u, so it joins
+    the graph at bucket searchsorted(grid, u, side="right"). `cur` holds
+    each vertex's component id in the graph of the edges opened so far.
+    At each grid point one `connected_components` call, on the current
+    components joined by that bucket's edges, contracts `cur` further.
+    The statistics only compare ids, so they are read off `cur` at the
+    root, the boundary and the targets, with no relabelling.
+    """
+    n = ball.vertex_count
+    grid = np.unique(np.array(p_list, dtype=np.float64))
+    bidx = np.array(ball.boundary, dtype=np.int64)
+    tarr = np.array(tidx, dtype=np.int64)
+    ei, ej = ball.edges.T
+    totals = np.zeros((len(grid), 2 + len(tidx)), dtype=np.int64)
+    for trial in range(lo, hi):
+        u = uniforms(seed, trial, ball.edge_count)
+        bucket = np.searchsorted(grid, u, side="right")
+        cur = np.arange(n, dtype=np.int64)
+        ncomp = n
+        for j in range(len(grid)):
+            new = np.flatnonzero(bucket == j)
+            if len(new):
+                # CSR built by hand: scipy's COO route costs more than the labelling
+                a, b = cur[ei[new]], cur[ej[new]]
+                indptr = np.zeros(ncomp + 1, dtype=np.int64)
+                np.cumsum(np.bincount(a, minlength=ncomp), out=indptr[1:])
+                graph = csr_matrix(
+                    (np.ones(len(new)), b[np.argsort(a)], indptr), shape=(ncomp, ncomp)
+                )
+                ncomp, comp = connected_components(graph, directed=False)
+                cur = comp[cur]
+            root = cur[0]
+            bids = cur[bidx]
+            totals[j, 0] += np.any(bids == root)
+            totals[j, 1] += len(np.unique(bids))
+            totals[j, 2:] += cur[tarr] == root
+    pos = np.searchsorted(grid, p_list)
+    return [[int(c) for c in totals[j]] for j in pos]
+
+
 def _sweep_chunk(
     ball: CayleyBall,
     p_list: list[float],
@@ -670,21 +810,21 @@ def _sweep_chunk(
     """Counters for trials [lo, hi): per p, [theta, boundary_total, tau...].
 
     Each trial draws its edge uniforms once. The forest engine turns them
-    into per-vertex thresholds once per trial and reads every grid point
-    off those (see `_forest_chunk`); the other engines label the ball
-    once per grid point.
+    into per-vertex thresholds and reads every grid point off those (see
+    `_forest_chunk`); the scipy engine contracts components grid point by
+    grid point, adding only the edges that open between two points (see
+    `_contract_chunk`); the union-find engine, the reference, labels the
+    ball once per grid point.
     """
     if engine == "forest":
         return _forest_chunk(ball, p_list, lo, hi, seed, tidx)
+    if engine == "scipy":
+        return _contract_chunk(ball, p_list, lo, hi, seed, tidx)
     counters = [[0, 0] + [0] * len(tidx) for _ in p_list]
     for trial in range(lo, hi):
         u = uniforms(seed, trial, ball.edge_count)
         for ip, p in enumerate(p_list):
-            openm = u < p
-            if engine == "scipy":
-                labels = _scipy_labels(ball, openm)
-            else:
-                labels = _unionfind_labels(ball, openm)
+            labels = _unionfind_labels(ball, u < p)
             root = labels[0]
             blabels = labels[list(ball.boundary)]
             c = counters[ip]
@@ -712,8 +852,11 @@ def sweep(
     open sets are nested along the grid and theta is monotone per
     sample path. On tree balls the forest engine turns those uniforms
     into per-vertex thresholds once per trial and reads each grid point
-    off them with two array comparisons; the other engines label the
-    ball once per grid point. Counters are
+    off them with two array comparisons. On other balls the scipy engine
+    walks the sorted grid once per trial, merging the components joined
+    by the edges that open between consecutive points. The union-find
+    engine labels the ball once per grid point. A one-point grid is a
+    single-p run: `erglab percolate` is one. Counters are
     integers merged by summation: the result is identical for any
     partitioning of trials across workers.
     """

@@ -5,12 +5,17 @@ import json
 import pytest
 
 from erglab import (
+    FreeModel,
     SuiteResult,
     ValidationError,
+    ZdModel,
+    cayley_ball,
+    cluster_stats,
     instance_hash,
     load_instance,
     make_coinduce_ready,
     make_cyclic,
+    percolate,
 )
 from erglab.cli import main
 
@@ -156,6 +161,34 @@ def test_percolate_report_and_determinism(tmp_path):
     assert "(1,0)" in first["tau_hat"]
     _, second = run(tmp_path, *args, name="p2")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "name, model, targets, elements",
+    [
+        ("z2", ZdModel(2), "1,0;0,0;2,-1", [(1, 0), (0, 0), (2, -1)]),
+        ("f2", FreeModel(2), "1;1,-1;-2,1", [(1,), (), (-2, 1)]),
+    ],
+    ids=["z2", "f2"],
+)
+def test_percolate_matches_the_cluster_stats_route(tmp_path, name, model, targets, elements):
+    # percolate runs as a one-point sweep; its report must equal the
+    # configuration-by-configuration fold
+    code, report = run(
+        tmp_path, "percolate", "--model", name, "--radius", "5", "--p", "0.45",
+        "--trials", "30", "--seed", "8", "--targets", targets,
+    )
+    assert code == 0
+    gens = model.basis_generators() if isinstance(model, ZdModel) else model.letter_generators()
+    ball = cayley_ball(model, gens, 5)
+    stats = cluster_stats((percolate(ball, 0.45, 8, t) for t in range(30)), elements)
+    assert report["trials"] == stats.n
+    assert report["theta_hat"] == stats.theta_hat
+    assert report["theta_se"] == stats.theta_se
+    assert report["boundary_clusters_mean"] == stats.boundary_clusters_mean
+    assert report["tau_hat"] == {
+        lab: stats.tau_hat(t) for t, lab in enumerate(stats.target_labels)
+    }
 
 
 def test_sweep_csv_contract(tmp_path):

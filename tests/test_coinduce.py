@@ -139,6 +139,24 @@ def test_target_action_rejects_non_homomorphism(z4_pair):
         )
 
 
+def test_target_action_checks_every_generator():
+    # Z/2 x Z/2 with images sigma, tau of a, b that do not commute: the
+    # table sending ab to sigma*tau passes every product s*h with s = a and
+    # fails one with s = b; the table sending ab to tau*sigma does the reverse
+    a, b = Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))
+    group = FreeGroupAction(FinAction(FinSpace(4), [("a", a), ("b", b)], {"a": "a", "b": "b"}))
+    sigma, tau = Perm((1, 0, 2)), Perm((0, 2, 1))
+    names = {key: group.name_of(p) for key, p in [("e", Perm.identity(4)), ("a", a), ("b", b), ("ab", a * b)]}
+    for ab in (sigma * tau, tau * sigma):
+        images = {names["e"]: Perm.identity(3), names["a"]: sigma, names["b"]: tau, names["ab"]: ab}
+        with pytest.raises(ValidationError, match="multiplicativity"):
+            TargetAction(group, FinSpace(3), images)
+    ident = {n: Perm.identity(3) for n in names.values()}
+    TargetAction(group, FinSpace(3), ident)
+    with pytest.raises(ValidationError, match="multiplicativity"):
+        TargetAction(group, FinSpace(3), {**ident, names["e"]: sigma})
+
+
 def test_target_action_rejects_bad_keys(z4_pair):
     a0, _ = z4_pair
     with pytest.raises(ValidationError, match="cover the group"):

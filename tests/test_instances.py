@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erglab import (
     GENERATE_KINDS,
@@ -263,3 +265,73 @@ def test_rational_serialization():
     assert rational_str(Fraction(4, 2)) == "2"
     assert rational_str(1) == "1"
     assert rational_map({"a": Fraction(1, 2)}) == {"a": "1/2"}
+
+
+# -- the input contract is total ----------------------------------------------------
+
+# Integers stay small so that a drawn size never asks for a large allocation.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    max_leaves=24,
+)
+
+VALID_DOCS = (
+    lambda: make_cyclic(6),
+    lambda: make_product(4, 2),
+    lambda: make_random_pair(5, seed=2),
+    lambda: make_coinduce_ready(4, 2),
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, prefix + (i,))
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+def _loads_or_rejects(path, doc) -> None:
+    # through a file, as the CLI reads it: the document may be any JSON value
+    path.write_text(json.dumps(doc))
+    try:
+        load_instance(path)
+    except ValidationError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_value_loads_or_is_rejected(doc_path, value):
+    _loads_or_rejects(doc_path, value)
+    _loads_or_rejects(doc_path, {"space": {"size": 3}, "perms": value})
+    _loads_or_rejects(doc_path, {"space": {"size": 3}, "actions": {"a": value}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(make=st.sampled_from(VALID_DOCS), data=st.data())
+def test_any_json_value_inside_a_valid_document_loads_or_is_rejected(doc_path, make, data):
+    doc = make()
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        doc = value
+    else:
+        blk = doc
+        for key in path[:-1]:
+            blk = blk[key]
+        blk[path[-1]] = value
+    _loads_or_rejects(doc_path, doc)

@@ -170,17 +170,39 @@ class _Delegate:
         return self._inner.render(a)
 
 
-def test_free_fast_path_matches_generic():
-    fm = FreeModel(2)
-    gens = fm.letter_generators()
-    plain = _Delegate(fm)
-    for r in range(5):
-        fast = cayley_ball(fm, gens, r)
+@pytest.mark.parametrize(
+    "model",
+    [ZdModel(1), ZdModel(2), ZdModel(3), FreeModel(2), FreeModel(3)],
+    ids=lambda m: m.name,
+)
+def test_array_balls_match_generic(model):
+    # the Z^d and free fast paths against the breadth-first build
+    if isinstance(model, ZdModel):
+        gens, radii = model.basis_generators(), range(7)
+    else:
+        gens, radii = model.letter_generators(), range(6)
+    plain = _Delegate(model)
+    for r in radii:
+        fast = cayley_ball(model, gens, r)
         generic = cayley_ball(plain, gens, r)
         assert fast.vertices == generic.vertices
+        assert fast.edges.dtype == generic.edges.dtype
+        assert fast.edges.shape == generic.edges.shape
         assert np.array_equal(fast.edges, generic.edges)
-        assert fast.boundary == generic.boundary
         assert np.array_equal(fast.distances, generic.distances)
+        assert fast.boundary == generic.boundary
+        assert [fast.index_of(v) for v in generic.vertices] == list(range(fast.vertex_count))
+        n = generic.vertex_count
+        for cap in (0, n - 1, n):
+            raised = []
+            for m in (model, plain):
+                try:
+                    cayley_ball(m, gens, r, cap=cap)
+                    raised.append(None)
+                except CapExceeded as exc:
+                    raised.append((exc.cap_name, exc.needed, exc.cap))
+            assert raised[0] == raised[1]
+            assert (raised[0] is None) == (cap >= n or r == 0)
 
 
 def test_generators_closed_under_inversion():
@@ -380,6 +402,53 @@ def test_sweep_forest_edge_cases(radius):
     slow = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="unionfind")
     assert fast.rows == slow.rows
     assert [row.p for row in fast.rows] == grid
+
+
+_Z1, _Z2, _Z3, _F2, _S4 = ZdModel(1), ZdModel(2), ZdModel(3), FreeModel(2), PermGroupModel(4)
+_SWAP, _SHIFT = Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))
+# name -> (model, generators, radius, targets)
+KERNEL_BALLS = {
+    "z2-r0": (_Z2, _Z2.basis_generators(), 0, [(0, 0)]),
+    "z2-r1": (_Z2, _Z2.basis_generators(), 1, [(0, 0), (0, -1)]),
+    "z1-r6": (_Z1, _Z1.basis_generators(), 6, [(0,), (3,), (-6,)]),
+    "z3-r4": (_Z3, _Z3.basis_generators(), 4, [(0, 0, 0), (1, -1, 2)]),
+    "s4-r3": (_S4, [_SWAP, _SHIFT], 3, [Perm.identity(4), _SWAP * _SHIFT]),
+    # a 4-cycle of radius 2 inside a radius-5 ball: the boundary is empty
+    "c4-r5": (_S4, [_SHIFT], 5, [Perm.identity(4), _SHIFT * _SHIFT]),
+    "f2-r3": (_F2, _F2.letter_generators(), 3, [(), (1,), (-2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BALLS))
+def test_sweep_contraction_kernel_matches_unionfind(name):
+    # an unsorted grid with duplicates and both ends, and the identity as a target
+    model, gens, radius, targets = KERNEL_BALLS[name]
+    ball = cayley_ball(model, gens, radius)
+    grid = [0.5, 0.0, 1.0, 0.5, 0.3]
+    fast = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="scipy")
+    slow = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="unionfind")
+    assert fast.rows == slow.rows
+    assert [row.p for row in fast.rows] == grid
+
+
+def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball, f2_ball):
+    # an edge is open at p iff its uniform is < p, so one drawn exactly at
+    # a grid point opens only at the points above it
+    from erglab import percolation
+
+    def on_grid(seed, trial, n):
+        return np.random.default_rng([seed, trial]).choice([0.0, 0.3, 0.5, 0.7], n)
+
+    monkeypatch.setattr(percolation, "uniforms", on_grid)
+    grid = [0.5, 0.0, 1.0, 0.5, 0.3, 0.7]
+    for ball, targets, engines in [
+        (z2_ball, [(0, 0), (1, 0), (2, -1)], ["scipy"]),
+        (f2_ball, [(), (1,), (-2, 1)], ["scipy", "forest"]),
+    ]:
+        slow = sweep(ball, grid, trials=15, seed=6, targets=targets, engine="unionfind")
+        for engine in engines:
+            fast = sweep(ball, grid, trials=15, seed=6, targets=targets, engine=engine)
+            assert fast.rows == slow.rows
 
 
 def test_sweep_matches_cluster_stats(z2_ball):
