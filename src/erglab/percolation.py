@@ -321,12 +321,14 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
         model.key(s) for s in model.letter_generators()
     }:
         return _free_ball(model, qc, r, capn)
-    if (
-        isinstance(model, ZdModel)
-        and keys == {model.key(s) for s in model.basis_generators()}
-        and (2 * r + 1) ** model.d <= 2**63
-    ):
-        return _zd_ball(model, qc, r, capn)
+    if isinstance(model, ZdModel) and keys == {
+        model.key(s) for s in model.basis_generators()
+    }:
+        # the size is known in closed form: check the cap before anything
+        # grows with r, on either path
+        _check_ball_cap(_zd_ball_size(model.d, r), capn)
+        if (2 * r + 1) ** model.d <= 2**63:
+            return _zd_ball(model, qc, r)
     ident = model.identity()
     vertices = [ident]
     dist = {model.key(ident): 0}
@@ -372,29 +374,26 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
     )
 
 
-def _zd_level_size(d: int, k: int) -> int:
-    """Points of Z^d at L1 norm k: pick i nonzero coordinates, their signs,
-    and a composition of k into i positive parts."""
-    if k == 0:
-        return 1
-    return sum(
-        2**i * math.comb(d, i) * math.comb(k - 1, i - 1) for i in range(1, min(d, k) + 1)
-    )
+def _zd_ball_size(d: int, r: int) -> int:
+    """Points of Z^d at L1 norm at most r: pick i nonzero coordinates,
+    their signs, and the i distinct partial sums in 1..r of their absolute
+    values, listed in coordinate order."""
+    return sum(2**i * math.comb(d, i) * math.comb(r, i) for i in range(min(d, r) + 1))
 
 
-def _zd_ball(model: ZdModel, qc: list, r: int, capn: int) -> CayleyBall:
+def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
     """Fast path for the standard generators of Z^d, on coordinate arrays.
 
     A point x of the box [-r, r]^d has the mixed-radix code
     sum_i (x_i + r) (2r+1)^(d-1-i), whose order is the lexicographic order
-    of x; the caller checks that (2r+1)^d fits in int64. Level k is the
-    set of outward steps from level k-1, deduplicated by sorting codes,
-    so vertices come in (distance, key) order. Edges are {v, v + e_i},
-    found by searching the code of v + e_i among the ball's codes.
+    of x; the caller checks the cap and that (2r+1)^d fits in int64.
+    Level k is the set of outward steps from level k-1, deduplicated by
+    sorting codes, so vertices come in (distance, key) order. Edges are
+    {v, v + e_i}, found by searching the code of v + e_i among the ball's
+    codes.
     """
     d = model.d
-    sizes = [_zd_level_size(d, k) for k in range(r + 1)]
-    _check_ball_cap(sum(sizes), capn)
+    sizes = np.diff([0] + [_zd_ball_size(d, k) for k in range(r + 1)])
     base = 2 * r + 1
     weight = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
     levels = [np.array([(base**d - 1) // 2], dtype=np.int64)]  # every digit r

@@ -314,14 +314,6 @@ def _loads_or_rejects(path, doc) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(value=JSON_VALUES)
-def test_any_json_value_loads_or_is_rejected(doc_path, value):
-    _loads_or_rejects(doc_path, value)
-    _loads_or_rejects(doc_path, {"space": {"size": 3}, "perms": value})
-    _loads_or_rejects(doc_path, {"space": {"size": 3}, "actions": {"a": value}})
-
-
-@settings(max_examples=200, deadline=None)
 @given(make=st.sampled_from(VALID_DOCS), data=st.data())
 def test_any_json_value_inside_a_valid_document_loads_or_is_rejected(doc_path, make, data):
     doc = make()

@@ -226,6 +226,25 @@ def test_ball_cap():
         cayley_ball(fm, fm.letter_generators(), 3, cap=10)
 
 
+@pytest.mark.parametrize(
+    "model, r",
+    [(ZdModel(1), 10**12), (ZdModel(2), 10**9), (ZdModel(3), 10**9)],
+    ids=["Z^1", "Z^2", "Z^3"],
+)
+def test_huge_radius_trips_the_cap(model, r):
+    # the radius is outside input: Z^d balls must trip the cap before
+    # anything grows with r, also where (2r+1)^d leaves the array path
+    gens = model.basis_generators()
+    raised = []
+    for m in (model, _Delegate(model)):
+        with pytest.raises(CapExceeded) as exc:
+            cayley_ball(m, gens, r, cap=1000)
+        raised.append((exc.value.needed, exc.value.cap))
+    assert raised[0] == raised[1] == (1001, 1000)
+    with pytest.raises(CapExceeded):
+        cayley_ball(model, gens, r)  # the default cap
+
+
 def test_vertex_order_is_distance_then_key():
     zd = ZdModel(2)
     ball = cayley_ball(zd, zd.basis_generators(), 2)
