@@ -19,6 +19,8 @@ from .coinduce import (
     check_rho_cocycle,
     check_thm33_identity,
     coinduced_action,
+    invariant_observables,
+    target_orbit_sets,
 )
 from .ergcore import Perm, phi
 from .errors import CapExceeded, CheckFailed, ValidationError
@@ -246,14 +248,18 @@ def _cmd_coinduce(args) -> int:
         cases = 0
         bad = 0
         if check == "thm33_identity":
+            b_sets = target_orbit_sets(spec.a0, spec.a)
             for gamma in gammas:
-                for b_set in _invariant_sets(spec):
+                for b_set in b_sets:
                     rep = check_thm33_identity(sys_, sorted(b_set), gamma)
                     cases += 1
                     bad += rep.verdict != "pass"
         else:
+            # a transitive target admits only the zero observable
+            zero = [Fraction(0)] * spec.a.space.size
+            observables = invariant_observables(spec.a0, spec.a) or [zero]
             for gamma in gammas:
-                for f in _invariant_observables_cli(spec):
+                for f in observables:
                     for k in range(sys_.N):
                         for n in range(sys_.N):
                             rep = check_prop34_pairing(sys_, f, k, n, gamma)
@@ -273,22 +279,6 @@ def _cmd_coinduce(args) -> int:
         inst.hash,
     )
     return status
-
-
-def _invariant_sets(spec) -> list[frozenset[int]]:
-    from .verify import _target_orbit_sets
-
-    return _target_orbit_sets(spec.a0, spec.a)
-
-
-def _invariant_observables_cli(spec) -> list[list[Fraction]]:
-    from .verify import _invariant_observables
-
-    obs = _invariant_observables(spec.a0, spec.a)
-    if not obs:
-        # a transitive target admits only the zero observable
-        obs = [[Fraction(0)] * spec.a.space.size]
-    return obs
 
 
 def _row_report(row, target_labels) -> dict:

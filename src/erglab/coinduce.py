@@ -151,6 +151,34 @@ class TargetAction:
             raise ValidationError(f"no image for element {name!r}") from None
 
 
+def target_orbit_sets(a0: FreeGroupAction, a: TargetAction) -> list[frozenset[int]]:
+    """All invariant subsets of the target: unions of target orbits.
+
+    Subset number `bits` is the union of the orbits whose bit is set,
+    with the orbits ordered by their least member.
+    """
+    blocks = EqRel.from_perms(a.space.size, (a.perm(e.name) for e in a0.elements)).classes
+    subsets = []
+    for bits in range(1 << len(blocks)):
+        s: set[int] = set()
+        for b, block in enumerate(blocks):
+            if bits >> b & 1:
+                s.update(block)
+        subsets.append(frozenset(s))
+    return subsets
+
+
+def invariant_observables(a0: FreeGroupAction, a: TargetAction) -> list[list[Fraction]]:
+    """Zero-mean target observables constant on each target orbit."""
+    y = a.space.size
+    obs = []
+    for s in target_orbit_sets(a0, a):
+        if 0 < len(s) < y:
+            mass = Fraction(len(s), y)
+            obs.append([Fraction(1) - mass if v in s else -mass for v in range(y)])
+    return obs[:4]
+
+
 def delta_bar(
     cs: ChoiceSystem, a0: FreeGroupAction, x: int, y: int
 ) -> tuple[str, ...]:

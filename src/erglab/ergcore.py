@@ -215,6 +215,8 @@ class EqRel:
 
     @staticmethod
     def from_pairs(m: int, pairs: Iterable[tuple[int, int]]) -> "EqRel":
+        """The smallest equivalence relation containing the given pairs:
+        the one union-find behind every orbit and cluster partition."""
         uf = _UnionFind(m)
         for x, y in pairs:
             if not (0 <= x < m and 0 <= y < m):
@@ -228,16 +230,14 @@ class EqRel:
     @staticmethod
     def from_perms(m: int, perms: Iterable[Perm]) -> "EqRel":
         """Orbit relation of the group generated by the given permutations."""
-        uf = _UnionFind(m)
-        for p in perms:
-            if p.size != m:
-                raise ValidationError("permutation size differs from space size")
-            for x in range(m):
-                uf.union(x, p(x))
-        groups: dict[int, list[int]] = {}
-        for x in range(m):
-            groups.setdefault(uf.find(x), []).append(x)
-        return EqRel(m, list(groups.values()))
+
+        def pairs() -> Iterator[tuple[int, int]]:
+            for p in perms:
+                if p.size != m:
+                    raise ValidationError("permutation size differs from space size")
+                yield from enumerate(p.images)
+
+        return EqRel.from_pairs(m, pairs())
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -273,33 +273,22 @@ class EqRel:
             groups.setdefault((self._class_id[x], other._class_id[x]), []).append(x)
         return EqRel(self.size, list(groups.values()))
 
+    def _spanning_pairs(self) -> Iterator[tuple[int, int]]:
+        """Pairs (least member, member) that generate the relation."""
+        return ((c[0], x) for c in self._classes for x in c[1:])
+
     def join(self, other: "EqRel") -> "EqRel":
         """Smallest common coarsening."""
         if self.size != other.size:
             raise ValidationError("relation sizes differ")
-        uf = _UnionFind(self.size)
-        for rel in (self, other):
-            for c in rel._classes:
-                for x in c[1:]:
-                    uf.union(c[0], x)
-        groups: dict[int, list[int]] = {}
-        for x in range(self.size):
-            groups.setdefault(uf.find(x), []).append(x)
-        return EqRel(self.size, list(groups.values()))
+        return EqRel.from_pairs(
+            self.size, itertools.chain(self._spanning_pairs(), other._spanning_pairs())
+        )
 
     def join_links(self, links: Iterable["PartialIso"]) -> "EqRel":
         """Join with the graphs of the given partial isomorphisms."""
-        uf = _UnionFind(self.size)
-        for c in self._classes:
-            for x in c[1:]:
-                uf.union(c[0], x)
-        for iso in links:
-            for x in iso.domain:
-                uf.union(x, iso(x))
-        groups: dict[int, list[int]] = {}
-        for x in range(self.size):
-            groups.setdefault(uf.find(x), []).append(x)
-        return EqRel(self.size, list(groups.values()))
+        graphs = (pair for iso in links for pair in iso.pairs)
+        return EqRel.from_pairs(self.size, itertools.chain(self._spanning_pairs(), graphs))
 
     def __eq__(self, other: object) -> bool:
         return (

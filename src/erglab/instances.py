@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -97,19 +98,20 @@ def _name(value, what: str) -> None:
 
 
 def load_instance(source) -> Instance:
-    """Build live objects from a document (dict, JSON text, or path).
+    """Build live objects from a document (dict, JSON text, or a str or
+    os.PathLike path).
 
-    Any malformed document raises ValidationError.
+    Any other source, and any malformed document, raises ValidationError.
     """
     if isinstance(source, dict):
         doc = source
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        doc = json.loads(source)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        raise ValidationError(f"cannot load an instance from {type(source).__name__}")
     _require(isinstance(doc, dict), "instance document must be an object")
     _require("space" in doc, "instance is missing the space block")
     space_blk = doc["space"]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CheckFailed, ValidationError
-from .ergcore import FinAction, GramCertificate, Perm, gram_check
+from .ergcore import EqRel, FinAction, GramCertificate, Perm, gram_check
 from .coinduce import FreeGroupAction
 
 _SQRT2 = math.sqrt(2.0)
@@ -307,24 +307,9 @@ class FiniteRep:
             return self._inv_basis
         d = self.dimension
         if self.kind == "perm":
-            parent = list(range(d))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for img in self._images.values():
-                for i, j in enumerate(img.images):
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-            comps: dict[int, list[int]] = {}
-            for i in range(d):
-                comps.setdefault(find(i), []).append(i)
+            comps = EqRel.from_perms(d, self._images.values()).classes
             basis = np.zeros((d, len(comps)))
-            for c, members in enumerate(sorted(comps.values())):
+            for c, members in enumerate(comps):
                 basis[members, c] = 1.0 / math.sqrt(len(members))
             self._inv_basis = basis
             return basis

@@ -10,14 +10,16 @@ Balls over the standard generators of Z^d and of free groups are built
 on arrays (coordinate codes, free-word levels); other generating sets
 use a generic breadth-first search. Both give the same vertex order.
 
-Cluster engines: "unionfind" is the reference implementation, "scipy"
-routes through sparse connected components, and "forest" is a
-vectorized fast path valid on tree balls. All three produce identical
-min-member cluster labels. Sweeps fold statistics without labels:
-the forest engine reads every grid point off per-vertex thresholds,
-the scipy engine contracts components grid point by grid point as
-edges open (Newman and Ziff's order), and the union-find engine labels
-the ball once per grid point. All three give identical counters.
+Cluster engines: "unionfind" is the reference implementation (labels
+read off `EqRel.from_pairs`), "scipy" routes through sparse connected
+components, and "forest" is a vectorized fast path valid on tree balls.
+All three produce identical min-member cluster labels. Sweeps on the
+forest and scipy engines fold statistics without labels: the forest
+engine reads every grid point off per-vertex thresholds, and the scipy
+engine contracts components grid point by grid point as edges open
+(Newman and Ziff's order). The union-find reference sweep is
+`cluster_stats` over `percolate` configurations, one per (grid point,
+trial). All three give identical counters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
-from .ergcore import EqRel, FinAction, Perm, _UnionFind, phi
+from .ergcore import EqRel, FinAction, Perm, phi
 from .rng import uniforms
 
 
@@ -520,11 +522,8 @@ def _pick_engine(ball: CayleyBall, engine: str) -> str:
 
 
 def _unionfind_labels(ball: CayleyBall, open_mask: np.ndarray) -> np.ndarray:
-    uf = _UnionFind(ball.vertex_count)
-    for e in np.nonzero(open_mask)[0]:
-        i, j = ball.edges[e]
-        uf.union(int(i), int(j))
-    return np.array([uf.find(v) for v in range(ball.vertex_count)], dtype=np.int64)
+    rel = EqRel.from_pairs(ball.vertex_count, ball.edges[open_mask].tolist())
+    return np.array([rel.class_of(v)[0] for v in range(ball.vertex_count)], dtype=np.int64)
 
 
 def _scipy_labels(ball: CayleyBall, open_mask: np.ndarray) -> np.ndarray:
@@ -808,31 +807,24 @@ def _sweep_chunk(
 ) -> list[list[int]]:
     """Counters for trials [lo, hi): per p, [theta, boundary_total, tau...].
 
-    Each trial draws its edge uniforms once. The forest engine turns them
-    into per-vertex thresholds and reads every grid point off those (see
-    `_forest_chunk`); the scipy engine contracts components grid point by
-    grid point, adding only the edges that open between two points (see
-    `_contract_chunk`); the union-find engine, the reference, labels the
-    ball once per grid point.
+    The uniforms depend on (seed, trial) alone, so every p of a trial sees
+    the same draw. The forest engine turns them into per-vertex
+    thresholds and reads every grid point off those (see `_forest_chunk`);
+    the scipy engine contracts components grid point by grid point,
+    adding only the edges that open between two points (see
+    `_contract_chunk`); the union-find engine, the reference, is
+    `cluster_stats` over the `percolate` configuration of each (p, trial).
     """
     if engine == "forest":
         return _forest_chunk(ball, p_list, lo, hi, seed, tidx)
     if engine == "scipy":
         return _contract_chunk(ball, p_list, lo, hi, seed, tidx)
-    counters = [[0, 0] + [0] * len(tidx) for _ in p_list]
-    for trial in range(lo, hi):
-        u = uniforms(seed, trial, ball.edge_count)
-        for ip, p in enumerate(p_list):
-            labels = _unionfind_labels(ball, u < p)
-            root = labels[0]
-            blabels = labels[list(ball.boundary)]
-            c = counters[ip]
-            if ball.boundary and bool(np.any(blabels == root)):
-                c[0] += 1
-            c[1] += len(np.unique(blabels))
-            for t, v in enumerate(tidx):
-                if labels[v] == root:
-                    c[2 + t] += 1
+    targets = [ball.vertices[v] for v in tidx]
+    counters = []
+    for p in p_list:
+        configs = (percolate(ball, p, seed, trial) for trial in range(lo, hi))
+        stats = cluster_stats(configs, targets, "unionfind")
+        counters.append([stats.theta_count, stats.boundary_total, *stats.tau_counts])
     return counters
 
 
@@ -854,7 +846,8 @@ def sweep(
     off them with two array comparisons. On other balls the scipy engine
     walks the sorted grid once per trial, merging the components joined
     by the edges that open between consecutive points. The union-find
-    engine labels the ball once per grid point. A one-point grid is a
+    engine, the reference, is `cluster_stats` over `percolate`
+    configurations, one per grid point and trial. A one-point grid is a
     single-p run: `erglab percolate` is one. Counters are
     integers merged by summation: the result is identical for any
     partitioning of trials across workers.
@@ -1051,14 +1044,10 @@ def action_to_percolation(
     cluster_probs = {}
     counts = {e.name: 0 for e in closure}
     for x in range(m):
-        uf = _UnionFind(full_ball.vertex_count)
-        bits = full_configs[x]
-        for e in np.nonzero(bits)[0]:
-            i, j = full_ball.edges[e]
-            uf.union(int(i), int(j))
-        root = uf.find(ident_idx)
+        cluster = _unionfind_labels(full_ball, full_configs[x])
+        root = cluster[ident_idx]
         for e in closure:
-            if uf.find(full_ball.index_of(e.perm)) == root:
+            if cluster[full_ball.index_of(e.perm)] == root:
                 counts[e.name] += 1
     for e in closure:
         phi_values[e.name] = phi(e_rel, e.perm)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CheckFailed, ValidationError, get_cap
 from .ergcore import (
@@ -231,31 +231,6 @@ class InvariantReport:
     full_group_invariance: bool
 
 
-def _components_of_carrier(
-    cs: ChoiceSystem, gens: Iterable[Perm]
-) -> list[list[int]]:
-    carrier = cs.carrier
-    index = cs.carrier_index()
-    parent = list(range(len(carrier)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in gens:
-        t = tau_representation(cs, g)
-        for i in range(len(carrier)):
-            ri, rj = find(i), find(t(i))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(carrier)):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
 def _extract(cs: ChoiceSystem, vec: Sequence[Fraction], label: str) -> ExtractionRow:
     """Extraction from a nonzero invariant vector: take the carrier points
     where |vec| peaks, collect the E-classes they point at, and keep the
@@ -309,7 +284,9 @@ def invariant_analysis(cs: ChoiceSystem, action: FinAction) -> InvariantReport:
     if orbit_relation(action) != cs.F:
         raise ValidationError("action orbits differ from the ambient relation")
     carrier = cs.carrier
-    comps = _components_of_carrier(cs, [g for _, g in action.gens])
+    comps = EqRel.from_perms(
+        len(carrier), (tau_representation(cs, g) for _, g in action.gens)
+    ).classes
     # Closed form: the component of (x, n) is all (y, k) over [x]_F
     # pointing at the E-class of choice(x, n).
     for comp in comps:

@@ -23,6 +23,8 @@ from .coinduce import (
     check_rho_cocycle,
     check_thm33_identity,
     coinduced_action,
+    invariant_observables,
+    target_orbit_sets,
 )
 from .ergcore import (
     EqRel,
@@ -236,48 +238,6 @@ def _doubled_target(a0: FreeGroupAction, a: TargetAction) -> TargetAction:
     return TargetAction(a0, FinSpace(2 * y), images)
 
 
-def _target_orbit_sets(a0: FreeGroupAction, a: TargetAction) -> list[frozenset[int]]:
-    """All invariant subsets of the target: unions of target orbits."""
-    y = a.space.size
-    parent = list(range(y))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in a0.elements:
-        p = a.perm(e.name)
-        for v in range(y):
-            ra, rb = find(v), find(p(v))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    orbits: dict[int, set[int]] = {}
-    for v in range(y):
-        orbits.setdefault(find(v), set()).add(v)
-    blocks = list(orbits.values())
-    subsets = []
-    for bits in range(1 << len(blocks)):
-        s: set[int] = set()
-        for b, block in enumerate(blocks):
-            if bits >> b & 1:
-                s |= block
-        subsets.append(frozenset(s))
-    return subsets
-
-
-def _invariant_observables(a0: FreeGroupAction, a: TargetAction) -> list[list[Fraction]]:
-    """Zero-mean target observables constant on each target orbit."""
-    y = a.space.size
-    obs = []
-    for s in _target_orbit_sets(a0, a):
-        if 0 < len(s) < y:
-            mass = Fraction(len(s), y)
-            obs.append([Fraction(1) - mass if v in s else -mass for v in range(y)])
-    return obs[:4]
-
-
 def suite_coinduce_identities(count: int = 20, size: int = 8, seed: int = 0) -> SuiteResult:
     """Overlap and pairing identities on co-induction instances.
 
@@ -301,9 +261,9 @@ def suite_coinduce_identities(count: int = 20, size: int = 8, seed: int = 0) -> 
         try:
             for sys in systems:
                 for gamma in sampled:
-                    for b_set in _target_orbit_sets(spec.a0, sys.a):
+                    for b_set in target_orbit_sets(spec.a0, sys.a):
                         check_thm33_identity(sys, sorted(b_set), gamma)
-                    for f in _invariant_observables(spec.a0, sys.a):
+                    for f in invariant_observables(spec.a0, sys.a):
                         k = rng.randrange(sys.N)
                         n = rng.randrange(sys.N)
                         check_prop34_pairing(sys, f, k, n, gamma)

@@ -55,7 +55,9 @@ from erglab import (
     weak_metric,
 )
 from erglab.cli import main
-from erglab.verify import _doubled_target, _invariant_observables, _target_orbit_sets
+from erglab.coinduce import invariant_observables as _invariant_observables
+from erglab.coinduce import target_orbit_sets as _target_orbit_sets
+from erglab.verify import _doubled_target
 
 
 def _random_relation(m: int, rng: random.Random) -> EqRel:

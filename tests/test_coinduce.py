@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erglab import (
     CheckFailed,
@@ -12,6 +15,7 @@ from erglab import (
     EqRel,
     FinAction,
     FinSpace,
+    FiniteRep,
     FreeGroupAction,
     Perm,
     TargetAction,
@@ -31,7 +35,9 @@ from erglab import (
     phi_kn,
     semidirect_mul,
 )
-from erglab.verify import _doubled_target, _invariant_observables, _target_orbit_sets
+from erglab.coinduce import invariant_observables as _invariant_observables
+from erglab.coinduce import target_orbit_sets as _target_orbit_sets
+from erglab.verify import _doubled_target
 
 
 def shift_action(m: int, step: int = 1, label: str = "g") -> FinAction:
@@ -667,3 +673,21 @@ def test_pairing_fold_when_value_pairs_outnumber_points():
     for gamma in ("g^0", "g^1"):
         rep = check_prop34_pairing(sys, [1, 1, -2], 0, 0, gamma)
         assert rep.lhs_materialized == rep.lhs_factorized == rep.rhs == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(images=st.integers(1, 8).flatmap(lambda y: st.permutations(range(y))))
+def test_orbit_blocks_come_in_least_member_order(images):
+    """Target orbit sets and invariant basis columns list the orbits of
+    a cyclic target by least member, as the frozen reports expect."""
+    sigma = Perm(images)
+    k = max(sigma.order(), 2)
+    a0 = FreeGroupAction(shift_action(k))
+    powers = {e.name: sigma ** e.perm(0) for e in a0.elements}
+    orbits = sorted({tuple(sorted({(sigma ** j)(v) for j in range(k)})) for v in range(sigma.size)})
+
+    sets = _target_orbit_sets(a0, TargetAction(a0, FinSpace(sigma.size), powers))
+    assert len(sets) == 1 << len(orbits)
+    assert [tuple(sorted(sets[1 << b])) for b in range(len(orbits))] == orbits
+    basis = FiniteRep(a0.base, powers).invariant_basis()
+    assert [tuple(np.flatnonzero(col).tolist()) for col in basis.T] == orbits

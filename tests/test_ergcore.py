@@ -152,6 +152,49 @@ def test_eqrel_from_perms_orbits():
     assert r.classes == ((0, 1), (2, 3, 4), (5,))
 
 
+def _closure_classes(m: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """Independent oracle: classes of the reflexive, symmetric and
+    transitive closure of the pairs (Warshall), in least-member order."""
+    reach = [[x == y for y in range(m)] for x in range(m)]
+    for x, y in pairs:
+        reach[x][y] = reach[y][x] = True
+    for k in range(m):
+        for i in range(m):
+            if reach[i][k]:
+                for j in range(m):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return tuple(sorted({tuple(y for y in range(m) if reach[x][y]) for x in range(m)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eqrel_constructors_match_brute_force_closure(data):
+    m = data.draw(st.integers(1, 8))
+    point = st.integers(0, m - 1)
+    pair_lists = st.lists(st.tuples(point, point), max_size=10)
+    pairs, other = data.draw(pair_lists), data.draw(pair_lists)
+    perms = [Perm(p) for p in data.draw(st.lists(st.permutations(range(m)), max_size=3))]
+    maps = data.draw(st.lists(st.tuples(st.permutations(range(m)), st.sets(point)), max_size=3))
+    links = [PartialIso([(x, img[x]) for x in dom]) for img, dom in maps]
+    link_pairs = [pair for iso in links for pair in iso.pairs]
+
+    rel = EqRel.from_pairs(m, pairs)
+    assert rel.classes == _closure_classes(m, pairs)
+    perm_pairs = [(x, p(x)) for p in perms for x in range(m)]
+    assert EqRel.from_perms(m, perms).classes == _closure_classes(m, perm_pairs)
+    assert rel.join(EqRel.from_pairs(m, other)).classes == _closure_classes(m, pairs + other)
+    assert rel.join_links(links).classes == _closure_classes(m, pairs + link_pairs)
+
+
+@pytest.mark.parametrize("wrong", [3, 6])
+def test_eqrel_from_perms_rejects_a_wrong_sized_perm(wrong):
+    # a perm on 6 points would give the pair (0, 5), outside the space,
+    # if its images were read before its size is checked
+    perms = [Perm.identity(4), Perm.from_cycles(wrong, [(0, wrong - 1)])]
+    with pytest.raises(ValidationError, match="permutation size differs from space size"):
+        EqRel.from_perms(4, perms)
+
+
 def test_partial_iso_validation_and_graph():
     link = PartialIso([(0, 2), (1, 3)])
     assert link.domain == (0, 1)

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from erglab import (
@@ -26,6 +26,7 @@ from erglab import (
     rational_map,
     rational_str,
 )
+from erglab.cli import main
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -101,6 +102,12 @@ def test_loader_rejects_malformed_documents(mutate):
     mutate(doc)
     with pytest.raises(ValidationError):
         load_instance(doc)
+
+
+@pytest.mark.parametrize("source", [[1, 2], 3, True, None, b"{}"])
+def test_loader_rejects_sources_that_are_not_documents(source):
+    with pytest.raises(ValidationError, match="cannot load an instance"):
+        load_instance(source)
 
 
 def test_loader_rejects_unknown_check():
@@ -327,3 +334,29 @@ def test_any_json_value_inside_a_valid_document_loads_or_is_rejected(doc_path, m
             blk = blk[key]
         blk[path[-1]] = value
     _loads_or_rejects(doc_path, doc)
+
+
+CLI_DOCS = tuple(make for make in VALID_DOCS if make()["space"]["size"] <= 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(make=st.sampled_from(CLI_DOCS), data=st.data())
+def test_cli_exits_0_1_or_2_on_any_document(doc_path, make, data):
+    doc = make()
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        doc = value
+    else:
+        blk = doc
+        for key in path[:-1]:
+            blk = blk[key]
+        blk[path[-1]] = value
+    # small spaces keep closures and index sets small
+    space = doc.get("space") if isinstance(doc, dict) else None
+    size = space.get("size") if isinstance(space, dict) else None
+    assume(not (isinstance(size, int) and size > 6))
+    doc_path.write_text(json.dumps(doc))
+    out = doc_path.with_name("report.json")
+    for command in ("phi", "subrel", "coinduce"):
+        assert main([command, "--instance", str(doc_path), "--out", str(out)]) in (0, 1, 2)

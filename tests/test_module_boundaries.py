@@ -1,0 +1,50 @@
+"""Module boundaries inside the package: private names stay private."""
+
+import ast
+from pathlib import Path
+
+import erglab
+
+PACKAGE = Path(erglab.__file__).parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(path: Path) -> list[str]:
+    """Underscore-prefixed names that this module imports from another
+    erglab module, at any depth (lazy imports inside functions too)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level or module == "erglab" or module.startswith("erglab.")):
+            continue
+        source = "." * node.level + module
+        for alias in node.names:
+            if _is_private(alias.name):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {source}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _private_imports(path)]
+    assert found == []
+
+
+def test_the_guard_sees_relative_lazy_and_absolute_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import __version__\n"
+        "from .ergcore import EqRel\n"
+        "from erglab.ergcore import _UnionFind\n"
+        "def f():\n"
+        "    from .verify import _helper\n"
+        "from numpy import _private_but_foreign\n"
+    )
+    assert _private_imports(src) == [
+        "mod.py:3 imports _UnionFind from erglab.ergcore",
+        "mod.py:5 imports _helper from .verify",
+    ]
