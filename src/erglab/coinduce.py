@@ -10,6 +10,7 @@ of that construction are checked by independent counting routes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,32 +152,39 @@ class TargetAction:
             raise ValidationError(f"no image for element {name!r}") from None
 
 
+def _orbit_unions(a0: FreeGroupAction, a: TargetAction):
+    """Unions of target orbits in order of `bits`: union number `bits` is
+    the union of the orbits whose bit is set, with the orbits ordered by
+    their least member."""
+    blocks = EqRel.from_perms(a.space.size, (a.perm(e.name) for e in a0.elements)).classes
+    for bits in range(1 << len(blocks)):
+        s: set[int] = set()
+        for b, block in enumerate(blocks):
+            if bits >> b & 1:
+                s.update(block)
+        yield frozenset(s)
+
+
 def target_orbit_sets(a0: FreeGroupAction, a: TargetAction) -> list[frozenset[int]]:
     """All invariant subsets of the target: unions of target orbits.
 
     Subset number `bits` is the union of the orbits whose bit is set,
     with the orbits ordered by their least member.
     """
-    blocks = EqRel.from_perms(a.space.size, (a.perm(e.name) for e in a0.elements)).classes
-    subsets = []
-    for bits in range(1 << len(blocks)):
-        s: set[int] = set()
-        for b, block in enumerate(blocks):
-            if bits >> b & 1:
-                s.update(block)
-        subsets.append(frozenset(s))
-    return subsets
+    return list(_orbit_unions(a0, a))
 
 
 def invariant_observables(a0: FreeGroupAction, a: TargetAction) -> list[list[Fraction]]:
-    """Zero-mean target observables constant on each target orbit."""
+    """Zero-mean target observables constant on each target orbit: one for
+    each of the first four proper orbit unions in `target_orbit_sets`
+    order, read without building the other unions."""
     y = a.space.size
+    proper = (s for s in _orbit_unions(a0, a) if 0 < len(s) < y)
     obs = []
-    for s in target_orbit_sets(a0, a):
-        if 0 < len(s) < y:
-            mass = Fraction(len(s), y)
-            obs.append([Fraction(1) - mass if v in s else -mass for v in range(y)])
-    return obs[:4]
+    for s in itertools.islice(proper, 4):
+        mass = Fraction(len(s), y)
+        obs.append([Fraction(1) - mass if v in s else -mass for v in range(y)])
+    return obs
 
 
 def delta_bar(

@@ -7,8 +7,10 @@ s) so that right translation acts on configurations; the dictionary
 checks depend on that orientation.
 
 Balls over the standard generators of Z^d and of free groups are built
-on arrays (coordinate codes, free-word levels); other generating sets
-use a generic breadth-first search. Both give the same vertex order.
+and kept on arrays (mixed-radix point codes; free words as parent index
+and first letter), and their vertex tuples are decoded only when
+`CayleyBall.vertices` is read; other generating sets use a generic
+breadth-first search. Both give the same vertex order.
 
 Cluster engines: "unionfind" is the reference implementation (labels
 read off `EqRel.from_pairs`), "scipy" routes through sparse connected
@@ -25,7 +27,6 @@ trial). All three give identical counters.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -184,54 +185,41 @@ class ProductModel:
 class CayleyBall:
     """Word-length ball: vertices ordered by (distance, canonical key),
     undirected edges {v, sv} with both ends inside, boundary = the
-    outermost level."""
+    outermost level.
+
+    The ball keeps its vertices in a store (`_VertexList`, `_FreeWords`
+    or `_ZdCodes`) that finds a vertex's index and decodes the vertex
+    elements. `vertices` is the tuple of those elements, decoded on its
+    first read; sweeps and configurations never read it.
+    """
 
     model: object
     q: tuple
     radius: int
-    vertices: tuple
     distances: np.ndarray
     edges: np.ndarray  # (E, 2) int64, each row (i, j) with i < j
     boundary: tuple[int, ...]
-    _index: dict | None = field(default=None, repr=False)
-    # True when vertices are the reduced words over the standard free
-    # letters: a word's level is then its length, and each level is sorted
-    _reduced_words: bool = field(default=False, repr=False)
+    _store: object = field(repr=False)
+    _vertices: tuple | None = field(default=None, repr=False)
     _forest: tuple | None = field(default=None, repr=False)
     _edge_table: dict | None = field(default=None, repr=False)
 
     @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = self._store.decode()
+        return self._vertices
+
+    @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.distances)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def index_of(self, element) -> int:
-        if self._reduced_words:
-            return self._word_index(self.model.key(element))
-        if self._index is None:
-            self._index = {
-                self.model.key(v): i for i, v in enumerate(self.vertices)
-            }
-        try:
-            return self._index[self.model.key(element)]
-        except KeyError:
-            raise ValidationError("target outside ball") from None
-
-    def _word_index(self, key) -> int:
-        """Binary search of a word inside the level of its length."""
-        d = len(key)
-        if d <= self.radius:
-            lo, hi = np.searchsorted(self.distances, [d, d + 1]).tolist()
-            try:
-                i = bisect_left(self.vertices, key, lo, hi, key=self.model.key)
-            except TypeError:  # letters that do not compare with ints
-                i = hi
-            if i < hi and self.model.key(self.vertices[i]) == key:
-                return i
-        raise ValidationError("target outside ball")
+        return self._store.index(self.model.key(element))
 
     def description(self) -> dict:
         return {
@@ -282,6 +270,103 @@ class CayleyBall:
         return self._forest
 
 
+class _VertexList:
+    """Vertex elements listed in ball order, with their index by key."""
+
+    def __init__(self, vertices: tuple, order: dict):
+        self.vertices = vertices
+        self.order = order
+
+    def decode(self) -> tuple:
+        return self.vertices
+
+    def index(self, key) -> int:
+        try:
+            return self.order[key]
+        except KeyError:
+            raise ValidationError("target outside ball") from None
+
+
+class _FreeWords:
+    """Reduced words over the standard free letters, stored as arrays:
+    word i is (first[i],) + word(parent[i]), and word 0 is the identity.
+
+    Level d holds the indices starts[d]..starts[d+1]-1 and is sorted, so
+    within it the words with one first letter are one block, ordered by
+    parent.
+    """
+
+    def __init__(self, letters: tuple, parent: np.ndarray, first: np.ndarray, starts: list):
+        self.letters = letters
+        self.parent = parent
+        self.first = first
+        self.starts = starts
+
+    def decode(self) -> tuple:
+        words = [()]
+        for c, p in zip(self.first[1:].tolist(), self.parent[1:].tolist()):
+            words.append((c,) + words[p])
+        return tuple(words)
+
+    def index(self, key) -> int:
+        """Walk the word from its last letter: at level d, the word ending
+        in the d letters read so far is the child of the previous one with
+        the next letter first, found by two searches within the level."""
+        if len(key) > len(self.starts) - 2:
+            raise ValidationError("target outside ball")
+        i = 0
+        for d, c in enumerate(reversed(key), 1):
+            # a tuple compares by equality and needs no hash
+            if c not in self.letters:
+                raise ValidationError("target outside ball")
+            lo, hi = self.starts[d], self.starts[d + 1]
+            a, b = np.searchsorted(self.first[lo:hi], [c, c + 1]).tolist()
+            j = lo + a + int(np.searchsorted(self.parent[lo + a : lo + b], i))
+            if j == lo + b or self.parent[j] != i:  # the word does not reduce
+                raise ValidationError("target outside ball")
+            i = j
+        return i
+
+
+class _ZdCodes:
+    """Points of a Z^d ball stored as mixed-radix codes: x in [-r, r]^d has
+    the code sum_i (x_i + r) (2r+1)^(d-1-i), whose order is the
+    lexicographic order of x. Level k holds the indices
+    starts[k]..starts[k+1]-1 and is sorted by code.
+    """
+
+    def __init__(self, codes: np.ndarray, d: int, r: int, starts: list):
+        self.codes = codes
+        self.d = d
+        self.r = r
+        self.starts = starts
+
+    def decode(self) -> tuple:
+        base = 2 * self.r + 1
+        weight = base ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+        coords = self.codes[:, None] // weight % base - self.r
+        return tuple(map(tuple, coords.tolist()))
+
+    def index(self, key) -> int:
+        try:
+            x = [int(c) for c in key]
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("target outside ball") from None
+        norm = sum(map(abs, x))
+        # a norm of at most r also puts x in the box [-r, r]^d, where codes
+        # are one to one; outside it a code can name an inside point
+        if len(x) != self.d or x != list(key) or norm > self.r:
+            raise ValidationError("target outside ball")
+        code = 0
+        for c in x:
+            code = code * (2 * self.r + 1) + c + self.r
+        lo, hi = self.starts[norm], self.starts[norm + 1]
+        j = lo + int(np.searchsorted(self.codes[lo:hi], code))
+        if j == hi or self.codes[j] != code:
+            raise ValidationError("target outside ball")
+        return j
+
+
 def _close_generators(model, q) -> list:
     idk = model.key(model.identity())
     seen: dict = {}
@@ -312,7 +397,10 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
     q is closed under inversion automatically; vertex order is
     (distance, canonical key), deterministic across runs. The standard
     generators of Z^d and of free groups take array-built fast paths
-    (`_zd_ball`, `_free_ball`) that give the same ball.
+    (`_zd_ball`, `_free_ball`) that give the same ball; they store
+    vertices as arrays, so `index_of` is an array search and `vertices`
+    is decoded on its first read. Other balls list their vertex elements
+    and index them by key.
     """
     if r < 0:
         raise ValidationError("radius must be non-negative")
@@ -368,11 +456,10 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
         model=model,
         q=tuple(qc),
         radius=r,
-        vertices=tuple(vertices),
         distances=dist_arr,
         edges=edge_arr,
         boundary=boundary,
-        _index=order,
+        _store=_VertexList(tuple(vertices), order),
     )
 
 
@@ -386,13 +473,12 @@ def _zd_ball_size(d: int, r: int) -> int:
 def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
     """Fast path for the standard generators of Z^d, on coordinate arrays.
 
-    A point x of the box [-r, r]^d has the mixed-radix code
-    sum_i (x_i + r) (2r+1)^(d-1-i), whose order is the lexicographic order
-    of x; the caller checks the cap and that (2r+1)^d fits in int64.
-    Level k is the set of outward steps from level k-1, deduplicated by
-    sorting codes, so vertices come in (distance, key) order. Edges are
-    {v, v + e_i}, found by searching the code of v + e_i among the ball's
-    codes.
+    Points are stored as their mixed-radix codes (`_ZdCodes`) and decoded
+    to d-tuples only when `vertices` is read; the caller checks the cap
+    and that (2r+1)^d fits in int64. Level k is the set of outward steps
+    from level k-1, deduplicated by sorting codes, so vertices come in
+    (distance, key) order. Edges are {v, v + e_i}, found by searching the
+    code of v + e_i among the ball's codes.
     """
     d = model.d
     sizes = np.diff([0] + [_zd_ball_size(d, k) for k in range(r + 1)])
@@ -409,7 +495,6 @@ def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
         ]
         levels.append(np.unique(np.concatenate(steps)))
     codes = np.concatenate(levels)
-    coords = codes[:, None] // weight % base - r
     n = len(codes)
     by_code = np.argsort(codes)
     sorted_codes = codes[by_code]
@@ -425,54 +510,55 @@ def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
     a, b = np.concatenate(a), np.concatenate(b)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))
+    starts = np.cumsum([0, *sizes]).tolist()
     return CayleyBall(
         model=model,
         q=tuple(qc),
         radius=r,
-        vertices=tuple(map(tuple, coords.tolist())),
         distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
         edges=np.stack([lo[order], hi[order]], axis=1),
         boundary=tuple(range(n - sizes[-1], n)),
+        _store=_ZdCodes(codes, d, r, starts),
     )
 
 
 def _free_ball(model: FreeModel, qc: list, r: int, capn: int) -> CayleyBall:
     """Fast path for the standard letters: the ball is a tree.
 
-    Level d is the concatenation, over the sorted letters c, of c·w for
-    the level-(d-1) words w that do not start with -c. Level d-1 is
-    sorted, so that concatenation is too, and the words starting with -c
-    are one block of it. The edges join each word to its suffix w.
+    Words are stored as (parent index, first letter) arrays (`_FreeWords`)
+    and decoded to tuples only when `vertices` is read. Level d is the
+    concatenation, over the sorted letters c, of c·w for the level-(d-1)
+    words w that do not start with -c. Level d-1 is sorted, so that
+    concatenation is too, and the words starting with -c are one block of
+    it. The edges join each word to its suffix w, its parent.
     """
     letters = sorted(s[0] for s in qc)
-    vertices: list[tuple[int, ...]] = [()]
     sizes = [1]
-    parents = []
-    first = np.zeros(1, dtype=np.int64)  # first letter on the last level (0: the identity)
+    parents = [np.zeros(1, dtype=np.int64)]  # the identity's entry is never read
+    firsts = [np.zeros(1, dtype=np.int8)]  # 0: the identity has no first letter
+    n = 1
     for _ in range(1, r + 1):
-        lo = len(vertices) - sizes[-1]
-        level = vertices[lo:]
-        blocks = [np.searchsorted(first, [-c, -c + 1]).tolist() for c in letters]
-        counts = [len(level) - (b - a) for a, b in blocks]
-        _check_ball_cap(len(vertices) + sum(counts), capn)
-        for c, (a, b) in zip(letters, blocks):
-            vertices.extend([(c,) + w for w in level[:a] + level[b:]])
+        lo = n - sizes[-1]
+        blocks = [np.searchsorted(firsts[-1], [-c, -c + 1]).tolist() for c in letters]
+        counts = [sizes[-1] - (b - a) for a, b in blocks]
+        _check_ball_cap(n + sum(counts), capn)
+        for a, b in blocks:
             parents.append(np.arange(lo, lo + a, dtype=np.int64))
-            parents.append(np.arange(lo + b, lo + len(level), dtype=np.int64))
-        first = np.repeat(np.array(letters, dtype=np.int64), counts)
+            parents.append(np.arange(lo + b, n, dtype=np.int64))
+        firsts.append(np.repeat(np.array(letters, dtype=np.int8), counts))
         sizes.append(sum(counts))
-    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int64)
-    order = np.argsort(parent, kind="stable")
-    n = len(vertices)
+        n += sizes[-1]
+    parent = np.concatenate(parents)
+    order = np.argsort(parent[1:], kind="stable")
+    starts = np.cumsum([0, *sizes]).tolist()
     return CayleyBall(
         model=model,
         q=tuple(qc),
         radius=r,
-        vertices=tuple(vertices),
         distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
-        edges=np.stack([parent[order], order + 1], axis=1),
+        edges=np.stack([parent[1:][order], order + 1], axis=1),
         boundary=tuple(range(n - sizes[-1], n)),
-        _reduced_words=True,
+        _store=_FreeWords(tuple(letters), parent, np.concatenate(firsts), starts),
     )
 
 
@@ -802,7 +888,7 @@ def _sweep_chunk(
     lo: int,
     hi: int,
     seed: int,
-    tidx: list[int],
+    targets: Sequence,
     engine: str,
 ) -> list[list[int]]:
     """Counters for trials [lo, hi): per p, [theta, boundary_total, tau...].
@@ -815,11 +901,11 @@ def _sweep_chunk(
     `_contract_chunk`); the union-find engine, the reference, is
     `cluster_stats` over the `percolate` configuration of each (p, trial).
     """
+    tidx = [ball.index_of(t) for t in targets]
     if engine == "forest":
         return _forest_chunk(ball, p_list, lo, hi, seed, tidx)
     if engine == "scipy":
         return _contract_chunk(ball, p_list, lo, hi, seed, tidx)
-    targets = [ball.vertices[v] for v in tidx]
     counters = []
     for p in p_list:
         configs = (percolate(ball, p, seed, trial) for trial in range(lo, hi))
@@ -863,11 +949,12 @@ def sweep(
     if workers < 1:
         raise ValidationError("worker count must be positive")
     eng = _pick_engine(ball, engine)
-    tidx = [ball.index_of(t) for t in targets]
+    for t in targets:
+        ball.index_of(t)  # an outside target is refused before any trial runs
     tlabels = tuple(ball.model.render(t) for t in targets)
-    totals = [[0, 0] + [0] * len(tidx) for _ in p_list]
+    totals = [[0, 0] + [0] * len(targets) for _ in p_list]
     for lo, hi in _chunk_ranges(trials, workers):
-        part = _sweep_chunk(ball, p_list, lo, hi, seed, tidx, eng)
+        part = _sweep_chunk(ball, p_list, lo, hi, seed, targets, eng)
         for ip in range(len(p_list)):
             for c in range(len(totals[ip])):
                 totals[ip][c] += part[ip][c]

@@ -664,6 +664,28 @@ def test_array_kernels_match_the_per_point_definition(m, idx):
                     assert rep.lhs_materialized == total / size == rep.lhs_factorized
 
 
+
+@pytest.mark.parametrize(
+    "cycles", [[1], [2], [1, 1], [3, 1], [1, 2, 3], [2, 2, 1, 1], [1] * 6, [3, 1, 2, 1, 1, 2]]
+)
+def test_invariant_observables_are_the_first_four_proper_orbit_unions(cycles):
+    """invariant_observables against its definition over every orbit union."""
+    images, start = [], 0
+    for n in cycles:
+        images += [start + (i + 1) % n for i in range(n)]
+        start += n
+    sigma = Perm(tuple(images))
+    a0 = FreeGroupAction(shift_action(max(sigma.order(), 2)))
+    powers = {e.name: sigma ** e.perm(0) for e in a0.elements}
+    target = TargetAction(a0, FinSpace(sigma.size), powers)
+    y = sigma.size
+    expected = [
+        [Fraction(1) - Fraction(len(s), y) if v in s else -Fraction(len(s), y) for v in range(y)]
+        for s in _target_orbit_sets(a0, target)
+        if 0 < len(s) < y
+    ][:4]
+    assert _invariant_observables(a0, target) == expected
+
 def test_pairing_fold_when_value_pairs_outnumber_points():
     """One slot and a target larger than the base: Y^2 cells exceed the X*Y points."""
     b0 = shift_action(2)

@@ -26,7 +26,7 @@ from erglab import (
     percolate,
     sweep,
 )
-from erglab.percolation import _scipy_labels, _unionfind_labels
+from erglab.percolation import _FreeWords, _scipy_labels, _unionfind_labels, _ZdCodes
 from erglab.rng import GOLDEN, MASK64, mix64, stream_key, uniform_at, uniforms
 
 
@@ -661,15 +661,93 @@ def test_bfs_wordlength_not_generated():
 def test_free_ball_index_of_searches_its_level():
     fm = FreeModel(2)
     ball = cayley_ball(fm, fm.letter_generators(), 5)
-    assert ball._reduced_words
+    assert isinstance(ball._store, _FreeWords)
     for i, v in enumerate(ball.vertices):
         assert ball.index_of(v) == i
         assert ball.index_of(list(v)) == i
     for word in [(1, 2, -1, -2, 1, 1), (1, -1), (3,), ("a",)]:
         with pytest.raises(ValidationError, match="target outside ball"):
             ball.index_of(word)
-    # other balls keep the lookup table
+    # Z^d balls search their codes
     zd = ZdModel(2)
     lattice = cayley_ball(zd, zd.basis_generators(), 3)
-    assert not lattice._reduced_words
+    assert isinstance(lattice._store, _ZdCodes)
     assert [lattice.index_of(v) for v in lattice.vertices] == list(range(lattice.vertex_count))
+
+
+def _refuse_decoding(monkeypatch):
+    def decode(self):
+        raise AssertionError("vertices decoded")
+
+    monkeypatch.setattr(_FreeWords, "decode", decode)
+    monkeypatch.setattr(_ZdCodes, "decode", decode)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ZdModel(1), ZdModel(2), ZdModel(3), FreeModel(2), FreeModel(3)],
+    ids=lambda m: m.name,
+)
+def test_array_ball_index_of_needs_no_vertices(model, monkeypatch):
+    if isinstance(model, ZdModel):
+        gens, radii = model.basis_generators(), range(7)
+    else:
+        gens, radii = model.letter_generators(), range(6)
+    listed = [cayley_ball(_Delegate(model), gens, r).vertices for r in radii]
+    _refuse_decoding(monkeypatch)
+    for r, vertices in zip(radii, listed):
+        ball = cayley_ball(model, gens, r)
+        assert [ball.index_of(v) for v in vertices] == list(range(len(vertices)))
+        assert [ball.index_of(list(v)) for v in vertices] == list(range(len(vertices)))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 5])
+def test_zd_index_of_refuses_points_outside_the_ball(r):
+    zd = ZdModel(2)
+    ball = cayley_ball(zd, zd.basis_generators(), r)
+    base = 2 * r + 1
+
+    def code(x):
+        return (x[0] + r) * base + x[1] + r
+
+    # out of the box, (1, -(r+1)) has the code of the inside point (0, r)
+    assert code((1, -(r + 1))) == code((0, r))
+    outside = [(1, -(r + 1)), (0, r + 1), (-(r + 1), 0), (r, 1), (r + 1,), (0, 0, 0), ()]
+    outside += [(0.5, 0), ("0", 0), (None, 0), (float("inf"), 0), (10**30, -(10**30))]
+    for x in outside:
+        with pytest.raises(ValidationError, match="target outside ball"):
+            ball.index_of(x)
+    assert ball.index_of((0, r)) == ball.vertices.index((0, r))
+
+
+def test_free_index_of_refuses_words_outside_the_ball():
+    fm = FreeModel(2)
+    ball = cayley_ball(fm, fm.letter_generators(), 3)
+    outside = [(1, -1), (2, 1, -1), (3,), (-3,), (0,), ("a",), (1, "a"), (None,), ((1,),)]
+    outside += [(1, 2, 1, 2), (1.5,)]
+    for word in outside:
+        with pytest.raises(ValidationError, match="target outside ball"):
+            ball.index_of(word)
+
+
+@pytest.mark.parametrize("model", [ZdModel(2), FreeModel(2)], ids=lambda m: m.name)
+def test_sweeps_and_configurations_never_decode_vertices(model, monkeypatch):
+    if isinstance(model, ZdModel):
+        gens, targets = model.basis_generators(), [(1, 0), (0, 2), (-1, 1)]
+    else:
+        gens, targets = model.letter_generators(), [(1,), (1, 2), (-2, 1, 1)]
+    grid = [0.3, 0.5, 0.7, 0.5]
+
+    def run():
+        ball = cayley_ball(model, gens, 3)
+        rows = {
+            engine: sweep(ball, grid, 5, 11, targets, engine=engine, workers=2).rows
+            for engine in ("scipy", "forest", "unionfind")
+            if engine != "forest" or ball.is_tree()
+        }
+        configs = [percolate(ball, 0.5, 11, t) for t in range(4)]
+        return rows, [c.open.tolist() for c in configs], ball.description()
+
+    expected = run()
+    _refuse_decoding(monkeypatch)
+    assert run() == expected
