@@ -24,13 +24,7 @@ from .coinduce import (
 )
 from .ergcore import Perm, phi
 from .errors import CapExceeded, CheckFailed, ValidationError
-from .instances import (
-    GENERATE_KINDS,
-    Instance,
-    generate,
-    load_instance,
-    rational_str,
-)
+from .instances import GENERATE_KINDS, generate, load_instance, rational_str
 from .kazhdan import FiniteRep, KazhdanPair, amplify, averaging_norm, bounds
 from .percolation import (
     FreeModel,
@@ -49,108 +43,134 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--instance", help="instance JSON file")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
+# -- flag values ------------------------------------------------------------------
+# Each parses one flag on its own; argparse reports a failure through
+# _Parser.error, so a malformed value exits 1 before any command runs.
+
+
+def _scalar(text: str) -> tuple[str, int | Fraction | float]:
+    """Rational-or-float ('2', '1/3', '0.25'), with the text given: reports echo it."""
+    s = text.strip()
+    try:
+        if "/" in s or s.lstrip("+-").isdigit():
+            f = Fraction(s)
+            return text, int(f) if f.denominator == 1 else f
+        return text, float(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational or a float") from None
+
+
+def _model(text: str):
+    """'z2' | 'f2' | 'zd:<d>' | 'free:<k>', as (model, generators)."""
+    name = text.strip().lower()
+    name = {"z2": "zd:2", "f2": "free:2"}.get(name, name)
+    kind, _, arg = name.partition(":")
+    try:
+        if kind == "zd":
+            model = ZdModel(int(arg))
+            return model, model.basis_generators()
+        if kind == "free":
+            model = FreeModel(int(arg))
+            return model, model.letter_generators()
+    except ValueError as exc:  # a non-integer argument, or the model's ValidationError
+        raise argparse.ArgumentTypeError(f"model {text!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(f"unknown model {text!r}")
+
+
+def _grid(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} is not comma-separated numbers") from None
+
+
+def _size(text: str) -> int | tuple[int, ...]:
+    """An integer, or 'a,b' / '(a,b)' for two-part kinds."""
+    try:
+        if "," in text or text.startswith("("):
+            return tuple(int(v) for v in text.strip("() ").split(","))
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"size {text!r} is not an integer or 'a,b'") from None
 
 
 def _build_parser() -> _Parser:
+    out = _Parser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    instance = _Parser(add_help=False)
+    instance.add_argument("--instance", required=True, help="instance JSON file")
+    # percolate and sweep: one ball, optional targets, seeded trials
+    ball = _Parser(add_help=False, parents=[out])
+    ball.add_argument("--model", required=True, type=_model, help="z2 | f2 | zd:<d> | free:<k>")
+    ball.add_argument("--radius", type=int, required=True)
+    ball.add_argument("--trials", type=int, default=200)
+    ball.add_argument("--targets", default="", help="elements, ';'-separated integer vectors")
+    ball.add_argument("--seed", type=int, default=0)
+
     parser = _Parser(prog="erglab")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("phi", description="capture values over an action closure")
-    _common_flags(p)
+    p = subs.add_parser(
+        "phi", parents=[instance, out], description="capture values over an action closure"
+    )
     p.add_argument("--relation", default="E")
     p.add_argument("--action", default="main")
 
-    p = subs.add_parser("subrel", description="minimal index set of a relation pair")
-    _common_flags(p)
+    p = subs.add_parser(
+        "subrel", parents=[instance, out], description="minimal index set of a relation pair"
+    )
     p.add_argument("--e", default="E", help="inner relation name")
     p.add_argument("--f", default="F", help="ambient relation name")
     p.add_argument("--action", default="main")
     p.add_argument("--s", help="permutation name (default identity)")
     p.add_argument("--sp", help="permutation name (default identity)")
 
-    p = subs.add_parser("coinduce", description="run the checks of a co-induction instance")
-    _common_flags(p)
+    subs.add_parser(
+        "coinduce", parents=[instance, out], description="run the checks of a co-induction instance"
+    )
 
-    p = subs.add_parser("percolate", description="bond percolation statistics on one ball")
-    _common_flags(p)
-    p.add_argument("--model", required=True, help="z2 | f2 | zd:<d> | free:<k>")
-    p.add_argument("--radius", type=int, required=True)
+    p = subs.add_parser(
+        "percolate", parents=[ball], description="bond percolation statistics on one ball"
+    )
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--targets", default="", help="elements, ';'-separated integer vectors")
 
-    p = subs.add_parser("sweep", description="percolation sweep over a probability grid")
-    _common_flags(p)
-    p.add_argument("--model", required=True, help="z2 | f2 | zd:<d> | free:<k>")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--grid", required=True, help="comma-separated probabilities")
-    p.add_argument("--trials", type=int, default=200)
+    p = subs.add_parser(
+        "sweep", parents=[ball], description="percolation sweep over a probability grid"
+    )
+    p.add_argument("--grid", required=True, type=_grid, help="comma-separated probabilities")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--targets", default="", help="elements, ';'-separated integer vectors")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = subs.add_parser("kazhdan", description="spectral-gap arithmetic")
     ksubs = p.add_subparsers(dest="kcommand", required=True)
-    kp = ksubs.add_parser("amplify")
-    _common_flags(kp)
+    kp = ksubs.add_parser("amplify", parents=[out])
     kp.add_argument("--k", type=int, required=True)
-    kp.add_argument("--eps", required=True)
+    kp.add_argument("--eps", required=True, type=_scalar)
     kp.add_argument("--n", type=int, required=True)
-    kp = ksubs.add_parser("bounds")
-    _common_flags(kp)
+    kp = ksubs.add_parser("bounds", parents=[out])
     kp.add_argument("--selector", required=True)
     kp.add_argument("--n", type=int, required=True)
-    kp.add_argument("--eps", required=True)
-    kp = ksubs.add_parser("avgnorm")
-    _common_flags(kp)
+    kp.add_argument("--eps", required=True, type=_scalar)
+    kp = ksubs.add_parser("avgnorm", parents=[instance, out])
     kp.add_argument("--rep", choices=("natural", "regular"), default="regular")
     kp.add_argument("--action", default="main")
     kp.add_argument("--q", required=True, help="comma-separated element names")
 
-    p = subs.add_parser("verify", description="seeded identity suites")
-    _common_flags(p)
+    p = subs.add_parser("verify", parents=[out], description="seeded identity suites")
     p.add_argument("--suite", choices=SUITE_NAMES, help="default: all suites")
     p.add_argument("--count", type=int)
     p.add_argument("--size", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = subs.add_parser("generate", description="emit a generated instance file")
-    _common_flags(p)
+    p = subs.add_parser("generate", parents=[out], description="emit a generated instance file")
     p.add_argument("--kind", required=True, choices=GENERATE_KINDS)
-    p.add_argument("--size", required=True, help="integer, or 'a,b' for two-part kinds")
+    p.add_argument("--size", required=True, type=_size, help="integer, or 'a,b' for two-part kinds")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 # -- shared helpers -------------------------------------------------------------
-
-
-def _parse_scalar(text: str):
-    """Rational-or-float: '2', '1/3', '0.25'."""
-    text = text.strip()
-    if "/" in text or text.lstrip("+-").isdigit():
-        f = Fraction(text)
-        return int(f) if f.denominator == 1 else f
-    return float(text)
-
-
-def _parse_model(text: str):
-    text = text.strip().lower()
-    if text == "z2":
-        text = "zd:2"
-    elif text == "f2":
-        text = "free:2"
-    kind, _, arg = text.partition(":")
-    if kind == "zd":
-        model = ZdModel(int(arg))
-        return model, model.basis_generators()
-    if kind == "free":
-        model = FreeModel(int(arg))
-        return model, model.letter_generators()
-    raise ValidationError(f"unknown model {text!r}")
 
 
 def _parse_targets(text: str, model) -> list:
@@ -159,7 +179,10 @@ def _parse_targets(text: str, model) -> list:
         part = part.strip()
         if not part:
             continue
-        vec = tuple(int(v) for v in part.split(","))
+        try:
+            vec = tuple(int(v) for v in part.split(","))
+        except ValueError:
+            raise ValidationError(f"target {part!r} is not an integer vector") from None
         if isinstance(model, ZdModel):
             if len(vec) != model.d:
                 raise ValidationError(f"target {part!r} has the wrong rank")
@@ -171,16 +194,17 @@ def _parse_targets(text: str, model) -> list:
     return targets
 
 
-def _load(args) -> Instance:
-    if not args.instance:
-        raise ValidationError("this command needs --instance")
-    return load_instance(args.instance)
+def _ball_and_targets(args):
+    """The Cayley ball and target elements of a percolate or sweep command line."""
+    model, gens = args.model
+    targets = _parse_targets(args.targets, model)  # before the ball: a typo costs no build
+    return cayley_ball(model, gens, args.radius), targets
 
 
 def _emit(args, payload: dict, instance_hash: str | None) -> None:
     report = {
         "tool_version": __version__,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", 0),  # commands without --seed report seed 0
         "instance_hash": instance_hash,
         "command": args.command,
     }
@@ -200,7 +224,7 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _cmd_phi(args) -> int:
-    inst = _load(args)
+    inst = load_instance(args.instance)
     rel = inst.relation(args.relation)
     action = inst.action(args.action)
     values = {e.name: rational_str(phi(rel, e.perm)) for e in action.closure()}
@@ -209,7 +233,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_subrel(args) -> int:
-    inst = _load(args)
+    inst = load_instance(args.instance)
     e_rel = inst.relation(args.e)
     f_rel = inst.relation(args.f)
     action = inst.action(args.action)
@@ -233,7 +257,7 @@ def _cmd_subrel(args) -> int:
 
 
 def _cmd_coinduce(args) -> int:
-    inst = _load(args)
+    inst = load_instance(args.instance)
     if inst.coinduce is None:
         raise ValidationError("the instance has no co-induction block")
     spec = inst.coinduce
@@ -294,9 +318,7 @@ def _row_report(row, target_labels) -> dict:
 
 
 def _cmd_percolate(args) -> int:
-    model, gens = _parse_model(args.model)
-    targets = _parse_targets(args.targets, model)
-    ball = cayley_ball(model, gens, args.radius)
+    ball, targets = _ball_and_targets(args)
     result = sweep(ball, [args.p], args.trials, args.seed, targets)
     _emit(
         args,
@@ -307,13 +329,9 @@ def _cmd_percolate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model, gens = _parse_model(args.model)
-    targets = _parse_targets(args.targets, model)
-    ball = cayley_ball(model, gens, args.radius)
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
-    result = sweep(ball, grid, args.trials, args.seed, targets, workers=args.workers)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    ball, targets = _ball_and_targets(args)
+    result = sweep(ball, args.grid, args.trials, args.seed, targets, workers=args.workers)
+    if args.format == "csv":
         _write_text(args.out, result.to_csv())
         return 0
     _emit(
@@ -331,24 +349,25 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_kazhdan(args) -> int:
     if args.kcommand == "amplify":
-        pair = KazhdanPair(args.k, _parse_scalar(args.eps))
-        value = amplify(pair, args.n)
+        eps_text, eps = args.eps
+        value = amplify(KazhdanPair(args.k, eps), args.n)
         _emit(
             args,
-            {"k": args.k, "eps": args.eps, "n": args.n, "value": value},
+            {"k": args.k, "eps": eps_text, "n": args.n, "value": value},
             None,
         )
         return 0
     if args.kcommand == "bounds":
-        value = bounds(args.selector, args.n, _parse_scalar(args.eps))
+        eps_text, eps = args.eps
+        value = bounds(args.selector, args.n, eps)
         out = rational_str(value) if isinstance(value, (Fraction, int)) else value
         _emit(
             args,
-            {"selector": args.selector, "n": args.n, "eps": args.eps, "value": out},
+            {"selector": args.selector, "n": args.n, "eps": eps_text, "value": out},
             None,
         )
         return 0
-    inst = _load(args)
+    inst = load_instance(args.instance)
     action = inst.action(args.action)
     rep = FiniteRep.natural(action) if args.rep == "natural" else FiniteRep.regular(action)
     q = [v.strip() for v in args.q.split(",") if v.strip()]
@@ -391,13 +410,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    size: object = args.size
-    if isinstance(size, str) and ("," in size or size.startswith("(")):
-        parts = size.strip("() ").split(",")
-        size = tuple(int(v) for v in parts)
-    else:
-        size = int(size)
-    doc = generate(args.kind, size, args.seed)
+    doc = generate(args.kind, args.size, args.seed)
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -418,8 +431,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.format == "csv" and args.command != "sweep":
-            raise ValidationError("csv output is only defined for sweep")
         return _COMMANDS[args.command](args)
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -346,30 +346,29 @@ def make_coinduce_ready(size: int, index: int) -> dict:
     return doc
 
 
+def _size_parts(kind: str, size, n: int) -> list[int]:
+    """`size` as n integers: an int, or a tuple, list or 'a,b' string of n parts."""
+    parts = list(size) if isinstance(size, (tuple, list)) else str(size).split(",")
+    if len(parts) == n:
+        try:
+            return [int(v) for v in parts]
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{kind} size must be {n} integer(s), not {size!r}")
+
+
 def generate(kind: str, size, seed: int = 0) -> dict:
     """Build one instance document of the named family, reproducibly."""
     if kind == "cyclic":
-        return make_cyclic(int(size))
+        (n,) = _size_parts(kind, size, 1)
+        return make_cyclic(n)
     if kind == "random_pair":
-        return make_random_pair(int(size), seed)
+        (n,) = _size_parts(kind, size, 1)
+        return make_random_pair(n, seed)
     if kind == "product":
-        if isinstance(size, (tuple, list)):
-            a, b = size
-        else:
-            parts = str(size).split(",")
-            if len(parts) != 2:
-                raise ValidationError("product size must be two integers")
-            a, b = parts
-        return make_product(int(a), int(b))
+        return make_product(*_size_parts(kind, size, 2))
     if kind == "coinduce_ready":
-        if isinstance(size, (tuple, list)):
-            a, b = size
-        else:
-            parts = str(size).split(",")
-            if len(parts) != 2:
-                raise ValidationError("co-induction size must be two integers")
-            a, b = parts
-        return make_coinduce_ready(int(a), int(b))
+        return make_coinduce_ready(*_size_parts(kind, size, 2))
     raise ValidationError(f"unknown instance kind {kind!r}")
 
 

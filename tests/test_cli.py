@@ -1,5 +1,6 @@
 """Command-line front end: reports, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from erglab import (
     make_cyclic,
     percolate,
 )
-from erglab.cli import main
+from erglab.cli import _build_parser, main
 
 
 def run(tmp_path, *argv, name="out"):
@@ -60,10 +61,16 @@ def test_phi_matches_the_six_point_table(tmp_path, six):
 
 
 def test_reports_carry_the_envelope(tmp_path, six):
-    code, report = run(tmp_path, "subrel", "--instance", six, "--seed", "4")
+    code, report = run(tmp_path, "subrel", "--instance", six)
     assert code == 0
     for key in ("tool_version", "seed", "instance_hash", "command"):
         assert key in report
+    assert report["seed"] == 0  # subrel takes no --seed
+    code, report = run(
+        tmp_path, "percolate", "--model", "z2", "--radius", "2", "--p", "0.5",
+        "--trials", "3", "--seed", "4",
+    )
+    assert code == 0
     assert report["seed"] == 4
 
 
@@ -371,6 +378,102 @@ def test_malformed_documents_are_validation_exits(tmp_path, capsys, base, path, 
 def test_argparse_errors_are_validation_failures(capsys):
     assert main(["phi", "--bogus-flag"]) == 1
     assert main(["kazhdan"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "generate --kind cyclic --size abc",
+        "generate --kind coinduce_ready --size 4,x",
+        "generate --kind cyclic --size 3,2",
+        "generate --kind coinduce_ready --size 4,2,1",
+        "percolate --model z2 --radius 2 --p 0.5 --targets a,b",
+        "percolate --model free:2 --radius 2 --p 0.5 --targets 1,,2",
+        "percolate --model zd:x --radius 2 --p 0.5",
+        "sweep --model z2 --radius 2 --grid a,b",
+        "kazhdan amplify --k 3 --eps abc --n 2",
+        "kazhdan bounds --selector cost_a --n 2 --eps 1/0",
+    ],
+)
+def test_malformed_flag_values_are_validation_exits(capsys, argv):
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# Each command's flags, and a valid command line for it ({six}: a cyclic instance).
+CLI_SURFACE = {
+    "phi": ({"--instance", "--relation", "--action", "--out"}, "phi --instance {six}"),
+    "subrel": (
+        {"--instance", "--e", "--f", "--action", "--s", "--sp", "--out"},
+        "subrel --instance {six}",
+    ),
+    "coinduce": ({"--instance", "--out"}, "coinduce --instance {ci}"),
+    "percolate": (
+        {"--model", "--radius", "--p", "--trials", "--targets", "--seed", "--out"},
+        "percolate --model z2 --radius 2 --p 0.5 --trials 3",
+    ),
+    "sweep": (
+        {
+            "--model", "--radius", "--grid", "--trials", "--workers", "--targets",
+            "--seed", "--format", "--out",
+        },
+        "sweep --model z2 --radius 2 --grid 0.5 --trials 3",
+    ),
+    "kazhdan amplify": (
+        {"--k", "--eps", "--n", "--out"}, "kazhdan amplify --k 3 --eps 0.1 --n 2"
+    ),
+    "kazhdan bounds": (
+        {"--selector", "--n", "--eps", "--out"}, "kazhdan bounds --selector cost_a --n 2 --eps 1"
+    ),
+    "kazhdan avgnorm": (
+        {"--instance", "--rep", "--action", "--q", "--out"},
+        "kazhdan avgnorm --instance {six} --q g^0,g^1,g^5",
+    ),
+    "verify": (
+        {"--suite", "--count", "--size", "--seed", "--out"},
+        "verify --suite prop11 --count 2 --size 3",
+    ),
+    "generate": ({"--kind", "--size", "--seed", "--out"}, "generate --kind cyclic --size 4"),
+}
+
+
+def _leaf_options(parser, prefix=()):
+    """command name -> option strings of every parser that runs a command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {
+            " ".join(prefix): {
+                opt for a in parser._actions for opt in a.option_strings
+                if not isinstance(a, argparse._HelpAction)
+            }
+        }
+    found = {}
+    for name, sub in subs[0].choices.items():
+        found.update(_leaf_options(sub, (*prefix, name)))
+    return found
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    surface = _leaf_options(_build_parser())
+    assert surface == {cmd: flags for cmd, (flags, _) in CLI_SURFACE.items()}
+    assert sum(len(flags) for flags in surface.values()) == 51
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_stray_flags_are_rejected(tmp_path, capsys, six, command):
+    flags, line = CLI_SURFACE[command]
+    ci = tmp_path / "ci.json"
+    ci.write_text(json.dumps(make_coinduce_ready(4, 2)))
+    argv = line.format(six=six, ci=ci).split()
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    out.unlink()
+    for stray in (["--instance", "/nonexistent"], ["--seed", "1"], ["--format", "csv"]):
+        if stray[0] in flags:
+            continue
+        assert main([*argv, *stray, "--out", str(out)]) == 1
+        assert not out.exists()
     capsys.readouterr()
 
 
