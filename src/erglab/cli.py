@@ -23,7 +23,7 @@ from .coinduce import (
     target_orbit_sets,
 )
 from .ergcore import Perm, phi
-from .errors import CapExceeded, CheckFailed, ValidationError
+from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
 from .instances import GENERATE_KINDS, generate, load_instance, rational_str
 from .kazhdan import FiniteRep, KazhdanPair, amplify, averaging_norm, bounds
 from .percolation import (
@@ -68,6 +68,12 @@ def _model(text: str):
     try:
         if kind == "zd":
             model = ZdModel(int(arg))
+            # any ball past radius 0 holds the 2d + 1 points of radius 1;
+            # refuse a rank past the ball cap before 2d generators of
+            # length d are built
+            capn = get_cap("ball")
+            if 2 * model.d + 1 > capn:
+                raise CapExceeded("ball", 2 * model.d + 1, capn)
             return model, model.basis_generators()
         if kind == "free":
             model = FreeModel(int(arg))

@@ -28,7 +28,10 @@ class FreeGroupAction:
     certificate that no non-identity element fixes a point.
 
     Freeness makes the element carrying one point to another unique,
-    which is what the transport vectors below rely on.
+    which is what the transport vectors below rely on. It also makes each
+    orbit a copy of the group, so the action is stored in O(m) entries:
+    the element by its image of point 0, and for each point x an orbit
+    representative with the element h_x carrying it to x.
     """
 
     def __init__(self, base: FinAction, cap: int | None = None):
@@ -47,12 +50,19 @@ class FreeGroupAction:
         if ident is None:
             raise CheckFailed("closure lost the identity")
         self.identity_name = ident
-        self._transport: dict[tuple[int, int], str] = {}
-        for e in self.elements:
-            for x in range(base.space.size):
-                self._transport[(x, e.perm(x))] = e.name
+        self._by_image0 = {e.perm.images[0]: e.name for e in self.elements}
+        m = base.space.size
+        self._rep: list[int] = [-1] * m
+        self._carrier: list[str] = [ident] * m
+        for x in range(m):
+            if self._rep[x] < 0:
+                for e in self.elements:
+                    y = e.perm.images[x]
+                    self._rep[y] = x
+                    self._carrier[y] = e.name
         self._orbits: EqRel | None = None
         self._products: dict[tuple[str, str], str] = {}
+        self._inverses: dict[str, str] = {}
 
     @property
     def size(self) -> int:
@@ -74,28 +84,33 @@ class FreeGroupAction:
             raise ValidationError("permutation is not an element of the group") from None
 
     # Freeness means an element is known by where it sends point 0, so
-    # products and inverses are read off the transport table and no Perm
-    # is composed. Products fill a multiplication table as they are asked.
+    # products and inverses are read off the image-of-0 table and no Perm
+    # is composed. Products and inverses are memoized as they are asked.
 
     def mult(self, left: str, right: str) -> str:
         name = self._products.get((left, right))
         if name is None:
             lhs = self.perm_of(left).images
-            name = self._transport[(0, lhs[self.perm_of(right).images[0]])]
+            name = self._by_image0[lhs[self.perm_of(right).images[0]]]
             self._products[(left, right)] = name
         return name
 
     def inverse_name(self, name: str) -> str:
-        return self._transport[(self.perm_of(name).images[0], 0)]
+        inv = self._inverses.get(name)
+        if inv is None:
+            inv = self._by_image0[self.perm_of(name).images.index(0)]
+            self._inverses[name] = inv
+        return inv
 
     def transporter(self, src: int, dst: int) -> str:
-        """The unique element carrying src to dst."""
-        try:
-            return self._transport[(src, dst)]
-        except KeyError:
+        """The unique element carrying src to dst: h_dst h_src^-1, which
+        carries src to its orbit representative and that on to dst."""
+        m = len(self._rep)
+        if not (0 <= src < m and 0 <= dst < m and self._rep[src] == self._rep[dst]):
             raise ValidationError(
                 f"no element carries {src} to {dst}; the points are in different orbits"
-            ) from None
+            )
+        return self.mult(self._carrier[dst], self.inverse_name(self._carrier[src]))
 
     def orbit_relation(self) -> EqRel:
         """The orbits of the group, computed once per action."""

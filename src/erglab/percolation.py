@@ -12,16 +12,14 @@ and first letter), and their vertex tuples are decoded only when
 `CayleyBall.vertices` is read; other generating sets use a generic
 breadth-first search. Both give the same vertex order.
 
-Cluster engines: "unionfind" is the reference implementation (labels
-read off `EqRel.from_pairs`), "scipy" routes through sparse connected
-components, and "forest" is a vectorized fast path valid on tree balls.
-All three produce identical min-member cluster labels. Sweeps on the
-forest and scipy engines fold statistics without labels: the forest
-engine reads every grid point off per-vertex thresholds, and the scipy
-engine contracts components grid point by grid point as edges open
-(Newman and Ziff's order). The union-find reference sweep is
-`cluster_stats` over `percolate` configurations, one per (grid point,
-trial). All three give identical counters.
+Clusters have one reference labeller: `cluster_labels` reads min-member
+labels off the union-find (`EqRel.from_pairs`), and `cluster_stats`
+folds them over a stream of configurations. Sweeps fold the same
+statistics without labels, with a kernel chosen by the ball's shape: on
+tree balls the forest kernel reads every grid point off per-vertex
+thresholds, and on other balls the contraction kernel merges components
+grid point by grid point as edges open (Newman and Ziff's order). Both
+give the counters that `cluster_stats` over `percolate` gives.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
@@ -248,14 +246,14 @@ class CayleyBall:
         if self._forest is not None:
             return self._forest
         if not self.is_tree():
-            raise ValidationError("ball is not a tree; the forest engine does not apply")
+            raise ValidationError("ball is not a tree; the forest kernel does not apply")
         n = self.vertex_count
         i, j = self.edges.T
         # every edge steps one level down and no vertex has two parents
         if not np.all(self.distances[i] + 1 == self.distances[j]) or np.any(
             np.bincount(j, minlength=n) > 1
         ):
-            raise ValidationError("ball is not a tree; the forest engine does not apply")
+            raise ValidationError("ball is not a tree; the forest kernel does not apply")
         parent = np.zeros(n, dtype=np.int64)
         parent_edge = np.zeros(n, dtype=np.int64)
         parent[j] = i
@@ -382,6 +380,26 @@ def _close_generators(model, q) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
+def _standard_kind(model, qc: list) -> str | None:
+    """"zd" or "free" when the closed generator set qc is the standard
+    one of a Z^d or free-group model (the ±e_i, or the letters and their
+    inverses), else None. Distinct keys are compared by equality, so 2d
+    unit vectors (2k letters) are the whole standard set; no generator
+    list is built."""
+    keys = {model.key(s) for s in qc}
+    if isinstance(model, ZdModel) and len(keys) == 2 * model.d:
+        for key in keys:
+            nonzero = [c for c in key if c != 0]
+            if len(key) != model.d or len(nonzero) != 1 or nonzero[0] not in (1, -1):
+                return None
+        return "zd"
+    if isinstance(model, FreeModel) and len(keys) == 2 * model.k:
+        letters = range(-model.k, model.k + 1)
+        if all(len(key) == 1 and key[0] != 0 and key[0] in letters for key in keys):
+            return "free"
+    return None
+
+
 def _check_ball_cap(size: int, capn: int) -> None:
     """Raise as the breadth-first build does when a ball of `size` vertices
     outgrows the cap. That build counts the vertex it is about to add and
@@ -406,14 +424,10 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
         raise ValidationError("radius must be non-negative")
     capn = get_cap("ball", cap)
     qc = _close_generators(model, q)
-    keys = {model.key(s) for s in qc}
-    if isinstance(model, FreeModel) and keys == {
-        model.key(s) for s in model.letter_generators()
-    }:
+    kind = _standard_kind(model, qc)
+    if kind == "free":
         return _free_ball(model, qc, r, capn)
-    if isinstance(model, ZdModel) and keys == {
-        model.key(s) for s in model.basis_generators()
-    }:
+    if kind == "zd":
         # the size is known in closed form: check the cap before anything
         # grows with r, on either path
         _check_ball_cap(_zd_ball_size(model.d, r), capn)
@@ -586,52 +600,15 @@ def percolate(ball: CayleyBall, p: float, seed: int, trial: int = 0) -> PercConf
     return PercConfig(ball=ball, p=float(p), seed=seed, trial=trial, open=u < p)
 
 
-def cluster_labels(config: PercConfig, engine: str = "auto") -> np.ndarray:
-    """Cluster label per vertex; the label is the minimal member index."""
-    ball = config.ball
-    eng = _pick_engine(ball, engine)
-    if eng == "forest":
-        return _forest_labels(ball, config.open)
-    if eng == "scipy":
-        return _scipy_labels(ball, config.open)
-    return _unionfind_labels(ball, config.open)
-
-
-def _pick_engine(ball: CayleyBall, engine: str) -> str:
-    if engine == "auto":
-        return "forest" if ball.is_tree() else "scipy"
-    if engine not in ("unionfind", "scipy", "forest"):
-        raise ValidationError(f"unknown cluster engine {engine!r}")
-    if engine == "forest":
-        ball.forest_structure()
-    return engine
+def cluster_labels(config: PercConfig) -> np.ndarray:
+    """Cluster label per vertex, the least member index of its cluster,
+    read off the union-find: the reference the sweep kernels match."""
+    return _unionfind_labels(config.ball, config.open)
 
 
 def _unionfind_labels(ball: CayleyBall, open_mask: np.ndarray) -> np.ndarray:
     rel = EqRel.from_pairs(ball.vertex_count, ball.edges[open_mask].tolist())
     return np.array([rel.class_of(v)[0] for v in range(ball.vertex_count)], dtype=np.int64)
-
-
-def _scipy_labels(ball: CayleyBall, open_mask: np.ndarray) -> np.ndarray:
-    n = ball.vertex_count
-    ei = ball.edges[open_mask, 0]
-    ej = ball.edges[open_mask, 1]
-    graph = coo_matrix(
-        (np.ones(len(ei), dtype=np.int8), (ei, ej)), shape=(n, n)
-    )
-    _, raw = connected_components(graph, directed=False)
-    first = np.full(int(raw.max()) + 1 if n else 0, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n, dtype=np.int64))
-    return first[raw]
-
-
-def _forest_labels(ball: CayleyBall, open_mask: np.ndarray) -> np.ndarray:
-    parent, parent_edge, slices = ball.forest_structure()
-    anc = np.arange(ball.vertex_count, dtype=np.int64)
-    for lo, hi in slices:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        anc[lo:hi] = np.where(open_mask[parent_edge[lo:hi]], anc[parent[lo:hi]], idx)
-    return anc
 
 
 # -- statistics ------------------------------------------------------------------
@@ -668,14 +645,12 @@ class ClusterStats:
         return math.sqrt(h * (1.0 - h) / self.n)
 
 
-def cluster_stats(
-    configs: Iterable[PercConfig],
-    targets: Sequence = (),
-    engine: str = "auto",
-) -> ClusterStats:
-    """Fold a stream of configurations over one ball into counters:
-    root-to-target connections, root-cluster boundary hits, and
-    boundary-cluster counts."""
+def cluster_stats(configs: Iterable[PercConfig], targets: Sequence = ()) -> ClusterStats:
+    """Fold the `cluster_labels` of a stream of configurations over one
+    ball into counters: root-to-target connections, root-cluster
+    boundary hits, and boundary-cluster counts. Over the `percolate`
+    configurations of a grid point, these are the counters `sweep`
+    reports there."""
     n = 0
     theta = 0
     btotal = 0
@@ -691,7 +666,7 @@ def cluster_stats(
             tau = [0] * len(tidx)
         elif cfg.ball is not ball:
             raise ValidationError("all configurations must share one ball")
-        labels = cluster_labels(cfg, engine)
+        labels = cluster_labels(cfg)
         root = labels[0]
         blabels = labels[list(ball.boundary)]
         if ball.boundary and bool(np.any(blabels == root)):
@@ -784,7 +759,7 @@ def _forest_chunk(
     seed: int,
     tidx: list[int],
 ) -> list[list[int]]:
-    """Forest-engine counters for trials [lo, hi), read off per-vertex
+    """Forest-kernel counters for trials [lo, hi), read off per-vertex
     thresholds computed once per trial. An edge is open iff its uniform
     is < p, so each statistic holds at p exactly when its threshold, a
     maximum or minimum of drawn uniforms, is < p.
@@ -838,7 +813,7 @@ def _contract_chunk(
     seed: int,
     tidx: list[int],
 ) -> list[list[int]]:
-    """Scipy-engine counters for trials [lo, hi), in one pass per trial
+    """Contraction-kernel counters for trials [lo, hi), in one pass per trial
     over the sorted distinct grid points (Newman-Ziff order, bucketed by
     grid point).
 
@@ -882,59 +857,27 @@ def _contract_chunk(
     return [[int(c) for c in totals[j]] for j in pos]
 
 
-def _sweep_chunk(
-    ball: CayleyBall,
-    p_list: list[float],
-    lo: int,
-    hi: int,
-    seed: int,
-    targets: Sequence,
-    engine: str,
-) -> list[list[int]]:
-    """Counters for trials [lo, hi): per p, [theta, boundary_total, tau...].
-
-    The uniforms depend on (seed, trial) alone, so every p of a trial sees
-    the same draw. The forest engine turns them into per-vertex
-    thresholds and reads every grid point off those (see `_forest_chunk`);
-    the scipy engine contracts components grid point by grid point,
-    adding only the edges that open between two points (see
-    `_contract_chunk`); the union-find engine, the reference, is
-    `cluster_stats` over the `percolate` configuration of each (p, trial).
-    """
-    tidx = [ball.index_of(t) for t in targets]
-    if engine == "forest":
-        return _forest_chunk(ball, p_list, lo, hi, seed, tidx)
-    if engine == "scipy":
-        return _contract_chunk(ball, p_list, lo, hi, seed, tidx)
-    counters = []
-    for p in p_list:
-        configs = (percolate(ball, p, seed, trial) for trial in range(lo, hi))
-        stats = cluster_stats(configs, targets, "unionfind")
-        counters.append([stats.theta_count, stats.boundary_total, *stats.tau_counts])
-    return counters
-
-
 def sweep(
     ball: CayleyBall,
     p_grid: Sequence[float],
     trials: int,
     seed: int,
     targets: Sequence = (),
-    engine: str = "auto",
     workers: int = 1,
 ) -> SweepResult:
     """Common-random-numbers sweep over a probability grid.
 
     Each trial draws one set of edge uniforms reused for every p, so
     open sets are nested along the grid and theta is monotone per
-    sample path. On tree balls the forest engine turns those uniforms
-    into per-vertex thresholds once per trial and reads each grid point
-    off them with two array comparisons. On other balls the scipy engine
-    walks the sorted grid once per trial, merging the components joined
-    by the edges that open between consecutive points. The union-find
-    engine, the reference, is `cluster_stats` over `percolate`
-    configurations, one per grid point and trial. A one-point grid is a
-    single-p run: `erglab percolate` is one. Counters are
+    sample path. The ball's shape picks the kernel: on tree balls the
+    forest kernel (`_forest_chunk`) turns each trial's uniforms into
+    per-vertex thresholds and reads each grid point off them with two
+    array comparisons; on other balls the contraction kernel
+    (`_contract_chunk`) walks the sorted grid once per trial, merging
+    the components joined by the edges that open between consecutive
+    points. Both count what `cluster_stats` over the `percolate`
+    configuration of each grid point and trial counts. A one-point grid
+    is a single-p run: `erglab percolate` is one. Counters are
     integers merged by summation: the result is identical for any
     partitioning of trials across workers.
     """
@@ -948,13 +891,13 @@ def sweep(
         raise ValidationError("at least one trial is required")
     if workers < 1:
         raise ValidationError("worker count must be positive")
-    eng = _pick_engine(ball, engine)
-    for t in targets:
-        ball.index_of(t)  # an outside target is refused before any trial runs
+    # an outside target is refused before any trial runs
+    tidx = [ball.index_of(t) for t in targets]
     tlabels = tuple(ball.model.render(t) for t in targets)
+    chunk = _forest_chunk if ball.is_tree() else _contract_chunk
     totals = [[0, 0] + [0] * len(targets) for _ in p_list]
     for lo, hi in _chunk_ranges(trials, workers):
-        part = _sweep_chunk(ball, p_list, lo, hi, seed, targets, eng)
+        part = chunk(ball, p_list, lo, hi, seed, tidx)
         for ip in range(len(p_list)):
             for c in range(len(totals[ip])):
                 totals[ip][c] += part[ip][c]
@@ -1199,16 +1142,7 @@ class LengthSystem:
         else:
             self._a = [1]
             self._default = True
-        qkeys = {model.key(s) for s in self.q}
-        self._closed_form = None
-        if isinstance(model, ZdModel) and qkeys == {
-            model.key(s) for s in model.basis_generators()
-        }:
-            self._closed_form = "zd"
-        elif isinstance(model, FreeModel) and qkeys == {
-            model.key(s) for s in model.letter_generators()
-        }:
-            self._closed_form = "free"
+        self._closed_form = _standard_kind(model, self.q)
         self._wl_cache: dict = {}
 
     def a(self, n: int) -> int:

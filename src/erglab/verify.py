@@ -406,16 +406,19 @@ def suite_kazhdan_forms(count: int = 32, size: int = 8, seed: int = 0) -> SuiteR
     return SuiteResult("kazhdan_forms", count, tuple(failures))
 
 
+# name -> (suite, least size): the smallest instance each suite draws.
+# `length` draws words of length 0..size, the other suites point counts
+# from 2 (phi_correspondence: 3, for a shift with a non-zero step) up to size.
 _SUITES = {
-    "definiteness": suite_definiteness,
-    "prop11": suite_prop11,
-    "cocycle": suite_cocycle,
-    "thm25": suite_thm25,
-    "thm27": suite_thm27,
-    "coinduce_identities": suite_coinduce_identities,
-    "phi_correspondence": suite_phi_correspondence,
-    "length": suite_length,
-    "kazhdan_forms": suite_kazhdan_forms,
+    "definiteness": (suite_definiteness, 2),
+    "prop11": (suite_prop11, 2),
+    "cocycle": (suite_cocycle, 2),
+    "thm25": (suite_thm25, 2),
+    "thm27": (suite_thm27, 2),
+    "coinduce_identities": (suite_coinduce_identities, 2),
+    "phi_correspondence": (suite_phi_correspondence, 3),
+    "length": (suite_length, 0),
+    "kazhdan_forms": (suite_kazhdan_forms, 2),
 }
 
 
@@ -424,12 +427,17 @@ def run_suite(
 ) -> SuiteResult:
     if name not in _SUITES:
         raise ValidationError(f"unknown verify suite {name!r}")
+    suite, least_size = _SUITES[name]
     kwargs: dict = {"seed": seed}
     if count is not None:
+        if count < 1:
+            raise ValidationError(f"count must be at least 1, not {count}")
         kwargs["count"] = count
     if size is not None:
+        if size < least_size:
+            raise ValidationError(f"suite {name!r} needs size at least {least_size}, not {size}")
         kwargs["size"] = size
-    return _SUITES[name](**kwargs)
+    return suite(**kwargs)
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:

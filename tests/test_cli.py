@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
 from erglab import (
+    SUITE_NAMES,
     FreeModel,
     SuiteResult,
     ValidationError,
@@ -315,6 +317,23 @@ def test_generate_verify_round_trip_never_exits_two(tmp_path):
         assert code == 0
 
 
+@pytest.mark.parametrize("flags", ["--size 0", "--size 1", "--size 2", "--count 0", "--count -3"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_refuses_counts_and_sizes_below_the_suite(capsys, suite, flags):
+    # words may have length 0; a shift needs 3 points for a non-zero step;
+    # every other suite draws instances of 2 points or more
+    least = {"length": 0, "phi_correspondence": 3}.get(suite, 2)
+    flag, value = flags.split()
+    argv = ["verify", "--suite", suite, "--count", "2", flag, value]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if flag == "--count" or int(value) < least:
+        assert code == 1
+        assert err.startswith("error:")
+    else:
+        assert code == 0
+
+
 # -- exit discipline ----------------------------------------------------------------------
 
 
@@ -399,6 +418,15 @@ def test_argparse_errors_are_validation_failures(capsys):
 def test_malformed_flag_values_are_validation_exits(capsys, argv):
     assert main(argv.split()) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("rank", ["3000000", "99999999"])
+def test_huge_zd_rank_exits_on_the_ball_cap(capsys, rank):
+    # refused before the 2d generators of length d are built
+    start = time.perf_counter()
+    assert main(["percolate", "--model", f"zd:{rank}", "--radius", "1", "--p", "0.5"]) == 1
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.startswith("error: cap 'ball' exceeded")
 
 
 # Each command's flags, and a valid command line for it ({six}: a cyclic instance).

@@ -1,6 +1,7 @@
-"""Cayley balls, bond percolation, cluster engines, the exact
-action/configuration dictionary, and word-length scales."""
+"""Cayley balls, bond percolation, cluster labels and sweep kernels, the
+exact action/configuration dictionary, and word-length scales."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from erglab import (
     percolate,
     sweep,
 )
-from erglab.percolation import _FreeWords, _scipy_labels, _unionfind_labels, _ZdCodes
+from erglab.percolation import _contract_chunk, _FreeWords, _ZdCodes
 from erglab.rng import GOLDEN, MASK64, mix64, stream_key, uniform_at, uniforms
 
 
@@ -211,6 +212,27 @@ def test_generators_closed_under_inversion():
     assert ball.vertex_count == 5  # -2..2
 
 
+@pytest.mark.parametrize(
+    "model, gens, standard",
+    [
+        (ZdModel(2), [(1, 0), (0, 1)], True),
+        (ZdModel(2), [(0, -1), (-1, 0), (1, 0)], True),
+        (ZdModel(2), [(1.0, 0), (0, True)], True),  # keys compare by equality
+        (ZdModel(2), [(1, 0), (1, 1)], False),
+        (ZdModel(2), [(2, 0), (0, 1)], False),
+        (ZdModel(3), [(1, 0, 0), (0, 1, 0)], False),
+        (FreeModel(2), [(2,), (-1,)], True),
+        (FreeModel(2), [(1,)], False),
+        (FreeModel(2), [(1,), (2, 1)], False),
+    ],
+)
+def test_standard_generating_sets_take_the_array_paths(model, gens, standard):
+    # cayley_ball and LengthSystem recognise the same standard sets
+    ball = cayley_ball(model, gens, 2)
+    assert isinstance(ball._store, (_ZdCodes, _FreeWords)) == standard
+    assert (LengthSystem(model, gens)._closed_form is not None) == standard
+
+
 def test_identity_generator_rejected():
     zd = ZdModel(1)
     with pytest.raises(ValidationError, match="identity"):
@@ -302,25 +324,7 @@ def test_percolate_validates_probability(z2_ball):
         percolate(z2_ball, 1.5, 0)
 
 
-# -- engines --------------------------------------------------------------------------
-
-
-def test_engines_agree_on_plane(z2_ball):
-    for trial in range(30):
-        cfg = percolate(z2_ball, 0.5, 7, trial=trial)
-        uf = _unionfind_labels(z2_ball, cfg.open)
-        sp = _scipy_labels(z2_ball, cfg.open)
-        assert np.array_equal(uf, sp)
-
-
-def test_engines_agree_on_tree(f2_ball):
-    for trial in range(30):
-        cfg = percolate(f2_ball, 0.4, 3, trial=trial)
-        uf = cluster_labels(cfg, "unionfind")
-        sp = cluster_labels(cfg, "scipy")
-        fo = cluster_labels(cfg, "forest")
-        assert np.array_equal(uf, sp)
-        assert np.array_equal(uf, fo)
+# -- cluster labels ----------------------------------------------------------------
 
 
 def test_labels_are_min_members(z2_ball):
@@ -332,15 +336,22 @@ def test_labels_are_min_members(z2_ball):
 
 
 def test_forest_engine_rejects_cyclic_ball(z2_ball):
-    cfg = percolate(z2_ball, 0.5, 1)
     with pytest.raises(ValidationError, match="not a tree"):
-        cluster_labels(cfg, "forest")
+        z2_ball.forest_structure()
 
 
-def test_unknown_engine_rejected(z2_ball):
-    cfg = percolate(z2_ball, 0.5, 1)
-    with pytest.raises(ValidationError, match="unknown cluster engine"):
-        cluster_labels(cfg, "bfs")
+def test_percolation_callables_take_no_engine():
+    # the sweep kernel follows from the ball's shape, and the labeller is
+    # the one union-find: neither is a parameter
+    params = {
+        f.__name__: list(inspect.signature(f).parameters)
+        for f in (sweep, cluster_stats, cluster_labels)
+    }
+    assert params == {
+        "sweep": ["ball", "p_grid", "trials", "seed", "targets", "workers"],
+        "cluster_stats": ["configs", "targets"],
+        "cluster_labels": ["config"],
+    }
 
 
 # -- statistics -------------------------------------------------------------------------
@@ -401,12 +412,30 @@ def test_sweep_worker_invariance(z2_ball):
         assert sweep(z2_ball, [0.2, 0.5, 0.8], trials=10, seed=3, workers=workers).to_csv() == base
 
 
+def _reference_counters(ball, grid, trials, seed, targets):
+    """Per grid point, [theta, boundary_total, tau...] from `cluster_stats`
+    over the `percolate` configuration of each trial."""
+    out = []
+    for p in grid:
+        st = cluster_stats((percolate(ball, p, seed, t) for t in range(trials)), targets)
+        out.append([st.theta_count, st.boundary_total, *st.tau_counts])
+    return out
+
+
+def _row_counters(rows):
+    return [[row.theta_count, row.boundary_total, *row.tau_counts] for row in rows]
+
+
+def _contraction_counters(ball, grid, trials, seed, targets):
+    """The contraction kernel run directly, on tree balls too."""
+    return _contract_chunk(ball, grid, 0, trials, seed, [ball.index_of(t) for t in targets])
+
+
 def test_sweep_engine_invariance(f2_ball):
     grid = [0.25, 0.4]
-    fast = sweep(f2_ball, grid, trials=12, seed=5, targets=[(1,)], engine="forest")
-    slow = sweep(f2_ball, grid, trials=12, seed=5, targets=[(1,)], engine="unionfind")
-    spy = sweep(f2_ball, grid, trials=12, seed=5, targets=[(1,)], engine="scipy")
-    assert fast.to_csv() == slow.to_csv() == spy.to_csv()
+    want = _reference_counters(f2_ball, grid, 12, 5, [(1,)])
+    assert _row_counters(sweep(f2_ball, grid, trials=12, seed=5, targets=[(1,)]).rows) == want
+    assert _contraction_counters(f2_ball, grid, 12, 5, [(1,)]) == want
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -417,10 +446,9 @@ def test_sweep_forest_edge_cases(radius):
     ball = cayley_ball(f2, f2.letter_generators(), radius)
     grid = [0.5, 0.0, 1.0, 0.5, 0.3]
     targets = [()] + ([(1,), (-2,)] if radius else [])
-    fast = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="forest")
-    slow = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="unionfind")
-    assert fast.rows == slow.rows
-    assert [row.p for row in fast.rows] == grid
+    res = sweep(ball, grid, trials=25, seed=4, targets=targets)
+    assert _row_counters(res.rows) == _reference_counters(ball, grid, 25, 4, targets)
+    assert [row.p for row in res.rows] == grid
 
 
 _Z1, _Z2, _Z3, _F2, _S4 = ZdModel(1), ZdModel(2), ZdModel(3), FreeModel(2), PermGroupModel(4)
@@ -440,14 +468,17 @@ KERNEL_BALLS = {
 
 @pytest.mark.parametrize("name", list(KERNEL_BALLS))
 def test_sweep_contraction_kernel_matches_unionfind(name):
-    # an unsorted grid with duplicates and both ends, and the identity as a target
+    # an unsorted grid with duplicates and both ends, and the identity as a
+    # target; the public sweep runs the forest kernel on the tree balls, so
+    # the contraction kernel is also run directly on every ball
     model, gens, radius, targets = KERNEL_BALLS[name]
     ball = cayley_ball(model, gens, radius)
     grid = [0.5, 0.0, 1.0, 0.5, 0.3]
-    fast = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="scipy")
-    slow = sweep(ball, grid, trials=25, seed=4, targets=targets, engine="unionfind")
-    assert fast.rows == slow.rows
-    assert [row.p for row in fast.rows] == grid
+    want = _reference_counters(ball, grid, 25, 4, targets)
+    res = sweep(ball, grid, trials=25, seed=4, targets=targets, workers=2)
+    assert _row_counters(res.rows) == want
+    assert [row.p for row in res.rows] == grid
+    assert _contraction_counters(ball, grid, 25, 4, targets) == want
 
 
 def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball, f2_ball):
@@ -460,14 +491,14 @@ def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball,
 
     monkeypatch.setattr(percolation, "uniforms", on_grid)
     grid = [0.5, 0.0, 1.0, 0.5, 0.3, 0.7]
-    for ball, targets, engines in [
-        (z2_ball, [(0, 0), (1, 0), (2, -1)], ["scipy"]),
-        (f2_ball, [(), (1,), (-2, 1)], ["scipy", "forest"]),
+    for ball, targets in [
+        (z2_ball, [(0, 0), (1, 0), (2, -1)]),
+        (f2_ball, [(), (1,), (-2, 1)]),
     ]:
-        slow = sweep(ball, grid, trials=15, seed=6, targets=targets, engine="unionfind")
-        for engine in engines:
-            fast = sweep(ball, grid, trials=15, seed=6, targets=targets, engine=engine)
-            assert fast.rows == slow.rows
+        want = _reference_counters(ball, grid, 15, 6, targets)
+        res = sweep(ball, grid, trials=15, seed=6, targets=targets)
+        assert _row_counters(res.rows) == want
+        assert _contraction_counters(ball, grid, 15, 6, targets) == want
 
 
 def test_sweep_matches_cluster_stats(z2_ball):
@@ -740,13 +771,13 @@ def test_sweeps_and_configurations_never_decode_vertices(model, monkeypatch):
 
     def run():
         ball = cayley_ball(model, gens, 3)
-        rows = {
-            engine: sweep(ball, grid, 5, 11, targets, engine=engine, workers=2).rows
-            for engine in ("scipy", "forest", "unionfind")
-            if engine != "forest" or ball.is_tree()
-        }
+        rows = sweep(ball, grid, 5, 11, targets, workers=2).rows
+        counters = [
+            _contraction_counters(ball, grid, 5, 11, targets),
+            _reference_counters(ball, grid, 5, 11, targets),
+        ]
         configs = [percolate(ball, 0.5, 11, t) for t in range(4)]
-        return rows, [c.open.tolist() for c in configs], ball.description()
+        return rows, counters, [c.open.tolist() for c in configs], ball.description()
 
     expected = run()
     _refuse_decoding(monkeypatch)
