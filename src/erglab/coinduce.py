@@ -37,18 +37,12 @@ class FreeGroupAction:
     def __init__(self, base: FinAction, cap: int | None = None):
         self.base = base
         self.elements: tuple[GroupElement, ...] = base.closure(cap)
-        self._by_name = {e.name: e for e in self.elements}
-        self._by_images = {e.perm.images: e for e in self.elements}
-        ident = None
-        for e in self.elements:
-            if e.perm.is_identity():
-                ident = e.name
-            elif e.perm.fixed_points():
-                raise ValidationError(
-                    f"element {e.name} fixes {e.perm.fixed_points()[0]}; the action is not free"
-                )
-        if ident is None:
-            raise CheckFailed("closure lost the identity")
+        fixer = base.fixing_element()
+        if fixer is not None:
+            raise ValidationError(
+                f"element {fixer.name} fixes {fixer.perm.fixed_points()[0]}; the action is not free"
+            )
+        ident = self.elements[0].name
         self.identity_name = ident
         self._by_image0 = {e.perm.images[0]: e.name for e in self.elements}
         m = base.space.size
@@ -68,20 +62,11 @@ class FreeGroupAction:
     def size(self) -> int:
         return len(self.elements)
 
-    def element(self, name: str) -> GroupElement:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValidationError(f"no element named {name!r}") from None
-
     def perm_of(self, name: str) -> Perm:
-        return self.element(name).perm
+        return self.base.element(name).perm
 
     def name_of(self, p: Perm) -> str:
-        try:
-            return self._by_images[p.images].name
-        except KeyError:
-            raise ValidationError("permutation is not an element of the group") from None
+        return self.base.element_of(p).name
 
     # Freeness means an element is known by where it sends point 0, so
     # products and inverses are read off the image-of-0 table and no Perm
@@ -395,16 +380,6 @@ class CoinducedSystem:
     def a_prime_perm(self, delta_name: str) -> Perm:
         return self.product_perm(self.a0.perm_of(delta_name))
 
-    def resolve_gamma(self, gamma) -> Perm:
-        """Accept a generator label or closure name of b0, or a raw permutation."""
-        if isinstance(gamma, str):
-            if gamma in self.b0.labels:
-                return self.b0.generator(gamma)
-            return self.b0.element(gamma).perm
-        if isinstance(gamma, Perm):
-            return gamma
-        raise ValidationError("group element must be a name or a permutation")
-
 
 def coinduced_action(
     a0: FreeGroupAction,
@@ -437,22 +412,18 @@ def coinduced_action(
     gammas = b0.closure()
     b_maps = {g.name: sys.product_images(g.perm) for g in gammas}
     # action law: the product map of a composite is the composite of maps
-    name_of = {g.perm.images: g.name for g in gammas}
     for g1 in gammas:
         for g2 in gammas:
-            composite = name_of[(g1.perm * g2.perm).images]
+            composite = b0.element_of(g1.perm * g2.perm).name
             if not np.array_equal(b_maps[composite], b_maps[g1.name][b_maps[g2.name]]):
                 raise CheckFailed("product maps do not compose as an action")
     codes = np.arange(sys.product_size, dtype=np.int64)
-    b0_free = all(
-        not g.perm.fixed_points() for g in gammas if not g.perm.is_identity()
-    )
-    if b0_free:
-        for g in gammas:
-            if not g.perm.is_identity() and np.any(b_maps[g.name] == codes):
+    if b0.fixing_element() is None:
+        for g in gammas[1:]:  # element 0 is the identity
+            if np.any(b_maps[g.name] == codes):
                 raise CheckFailed("freeness of the ambient action was lost in the product")
-    for d in a0.elements:
-        if not d.perm.is_identity() and np.any(sys.product_images(d.perm) == codes):
+    for d in a0.elements[1:]:
+        if np.any(sys.product_images(d.perm) == codes):
             raise CheckFailed("the small-group product action is not free")
     # factor equivariance
     base = sys.base_column()
@@ -513,13 +484,7 @@ def phi_kn(
     n_slots = strata.pop()
     if not (0 <= k < n_slots and 0 <= n < n_slots):
         raise ValidationError(f"slot indices must lie below {n_slots}")
-    if isinstance(gamma, str):
-        if gamma in action.labels:
-            g = action.generator(gamma)
-        else:
-            g = action.element(gamma).perm
-    else:
-        g = gamma
+    g = action.resolve(gamma)
     if not in_full_group(cs.F, g):
         raise ValidationError("the map must preserve each ambient class")
     hits = sum(
@@ -551,7 +516,7 @@ def check_thm33_identity(
     factorized counting and, when the product is materialized, by
     direct enumeration; both must agree with the closed form exactly.
     """
-    g = sys.resolve_gamma(gamma)
+    g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
         raise ValidationError("the map must preserve each ambient class")
     b_pts = sorted(set(int(v) for v in b_set))
@@ -613,7 +578,7 @@ def check_prop34_pairing(
     digit columns and the product images, and folds the Y^2 cells with
     Python ints; each route builds one Fraction at the end.
     """
-    g = sys.resolve_gamma(gamma)
+    g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
         raise ValidationError("the map must preserve each ambient class")
     if not (0 <= k < sys.N and 0 <= n < sys.N):
@@ -632,17 +597,17 @@ def check_prop34_pairing(
     y_size = sys.y_size
     norm_sq = Fraction(sum(v * v for v in nums), den * den * y_size)
 
-    mean = 0  # numerator of the mean over D: zero by the precondition, kept explicit
+    # A point whose slot permutation sends k elsewhere pairs two
+    # independent coordinates, so it adds the product of two means of f:
+    # zero, since f has zero mean. Only the points sending k to n count.
     hits = 0  # points whose slot permutation sends k to n
     total = 0  # the pairing times X * Y * D^2
     for x in range(sys.x_size):
         pi, dbar = sys.rho(x, g(x))
-        dperm = sys.a.perm(dbar[n])
         if pi(k) == n:
             hits += 1
+            dperm = sys.a.perm(dbar[n])
             total += sum(nums[dperm(y)] * nums[y] for y in range(y_size))
-        else:
-            total += sum(nums[dperm(y)] for y in range(y_size)) * mean
     lhs_fact = Fraction(total, sys.x_size * y_size * den * den)
     phi_val = Fraction(hits, sys.x_size)  # phi_kn(cs, b0, k, n, g) off the cached transports
     rhs = phi_val * norm_sq

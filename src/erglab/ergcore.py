@@ -357,6 +357,12 @@ class FinAction:
 
     Generators come in inverse pairs: `inverses` maps each label to the
     label of its inverse (self-paired labels are allowed for involutions).
+
+    The action owns the one lookup table over its closure: `closure()`
+    indexes each element by name and by permutation, and `element`,
+    `element_of`, `resolve` and `fixing_element` read that table, so no
+    other module keeps its own map from a name or a permutation to an
+    element.
     """
 
     def __init__(
@@ -386,6 +392,8 @@ class FinAction:
         self.inverses = dict(inverses)
         self._by_label = by_label
         self._closure: tuple[GroupElement, ...] | None = None
+        self._by_name: dict[str, GroupElement] = {}
+        self._by_images: dict[tuple[int, ...], GroupElement] = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -405,8 +413,9 @@ class FinAction:
     def closure(self, cap: int | None = None) -> tuple[GroupElement, ...]:
         """All permutations generated by the action, BFS order from the identity.
 
-        For a single generator pair the names are powers g^0, g^1, ...;
-        otherwise shortest words over the labels (identity named "1").
+        Element 0 is the identity. For a single generator pair the names
+        are powers g^0, g^1, ...; otherwise shortest words over the labels
+        (identity named "1").
         """
         if self._closure is not None:
             return self._closure
@@ -433,28 +442,54 @@ class FinAction:
         if self._is_single_pair():
             base_lab = self.labels[0]
             g = self._by_label[base_lab]
-            order = len(seen)
             elems = []
             p = ident
-            for k in range(order):
+            for k in range(len(seen)):
                 elems.append(GroupElement(f"{base_lab}^{k}", p, (base_lab,) * k))
                 p = g * p
-            if len({e.perm.images for e in elems}) != order:
-                raise CheckFailed("single-pair closure is not cyclic")
-            self._closure = tuple(elems)
-            return self._closure
-        elems = []
-        for p in queue:
-            word = seen[p.images][1]
-            elems.append(GroupElement(_word_name(word), p, word))
+        else:
+            elems = []
+            for p in queue:
+                word = seen[p.images][1]
+                elems.append(GroupElement(_word_name(word), p, word))
+        self._by_images = {e.perm.images: e for e in elems}
+        if len(self._by_images) != len(seen):  # only powers of one pair can repeat
+            raise CheckFailed("single-pair closure is not cyclic")
+        self._by_name = {e.name: e for e in elems}
         self._closure = tuple(elems)
         return self._closure
 
     def element(self, name: str) -> GroupElement:
-        for e in self.closure():
-            if e.name == name:
-                return e
-        raise ValidationError(f"no closure element named {name!r}")
+        """The closure element with this name."""
+        self.closure()
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValidationError(f"no closure element named {name!r}") from None
+
+    def element_of(self, perm: Perm) -> GroupElement:
+        """The closure element acting by this permutation."""
+        self.closure()
+        try:
+            return self._by_images[perm.images]
+        except KeyError:
+            raise ValidationError("permutation is not an element of the closure") from None
+
+    def resolve(self, gamma) -> Perm:
+        """A generator label or closure name as its permutation; a
+        permutation is returned as it is."""
+        if isinstance(gamma, str):
+            if gamma in self._by_label:
+                return self._by_label[gamma]
+            return self.element(gamma).perm
+        if isinstance(gamma, Perm):
+            return gamma
+        raise ValidationError("group element must be a name or a permutation")
+
+    def fixing_element(self) -> GroupElement | None:
+        """The first non-identity closure element that fixes a point, or
+        None when the action is free."""
+        return next((e for e in self.closure()[1:] if e.perm.fixed_points()), None)
 
 
 def _word_name(word: tuple[str, ...]) -> str:

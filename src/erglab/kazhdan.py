@@ -206,7 +206,6 @@ class FiniteRep:
         self.kind = "perm" if kinds.pop() else "matrix"
         self.action = action
         self._elements = closure
-        self._name_of_perm = {e.perm.images: e.name for e in closure}
         if self.kind == "perm":
             dims = {v.size for v in images.values()}
             if len(dims) != 1:
@@ -231,7 +230,7 @@ class FiniteRep:
             self._images = mats
         for e1 in closure:
             for e2 in closure:
-                prod = self._name_of_perm[(e1.perm * e2.perm).images]
+                prod = action.element_of(e1.perm * e2.perm).name
                 if self.kind == "perm":
                     if self._images[prod] != self._images[e1.name] * self._images[e2.name]:
                         raise ValidationError(
@@ -268,16 +267,10 @@ class FiniteRep:
 
     @property
     def identity_name(self) -> str:
-        for e in self._elements:
-            if e.perm.is_identity():
-                return e.name
-        raise CheckFailed("closure lost the identity")
+        return self._elements[0].name
 
     def inverse_name(self, name: str) -> str:
-        for e in self._elements:
-            if e.name == name:
-                return self._name_of_perm[e.perm.inverse().images]
-        raise ValidationError(f"no closure element named {name!r}")
+        return self.action.element_of(self.action.element(name).perm.inverse()).name
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
         img = self._images[name]
@@ -451,15 +444,9 @@ def pd_transfer(
             if agree:
                 total += Fraction(psi[name]) * Fraction(agree, m)
         values[e.name] = total
-    by_name = {e.name: e.perm for e in closure}
-    name_of = {e.perm.images: e.name for e in closure}
-    order = [e.name for e in closure]
     gram = [
-        [
-            values[name_of[(by_name[n1].inverse() * by_name[n2]).images]]
-            for n2 in order
-        ]
-        for n1 in order
+        [values[action.element_of(e1.perm.inverse() * e2.perm).name] for e2 in closure]
+        for e1 in closure
     ]
     cert = gram_check(gram, "positive")
     if not cert.ok:

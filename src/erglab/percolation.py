@@ -1001,12 +1001,12 @@ def action_to_percolation(
             raise ValidationError(
                 f"marked sets of {lab!r} and {inv_lab!r} are incompatible"
             )
+    fixer = action.fixing_element()
+    if fixer is not None:
+        raise ValidationError(
+            f"closure element {fixer.name} fixes a point; the dictionary needs a free action"
+        )
     closure = action.closure()
-    for e in closure:
-        if not e.perm.is_identity() and e.perm.fixed_points():
-            raise ValidationError(
-                f"closure element {e.name} fixes a point; the dictionary needs a free action"
-            )
     seen_perms = {}
     q_labeled = []
     for lab in labels:
@@ -1100,6 +1100,12 @@ def action_to_percolation(
 # -- word-length scales -----------------------------------------------------------------
 
 
+# Largest scale level n that `LengthSystem.length` searches, and largest
+# ball radius that its breadth-first word length grows to.
+MAX_LENGTH_LEVEL = 64
+WORDLENGTH_BUDGET = 4096
+
+
 @dataclass(frozen=True)
 class LengthValue:
     n: int
@@ -1119,14 +1125,10 @@ class LengthSystem:
         model,
         q,
         a_seq: Sequence[int] | None = None,
-        max_level: int = 64,
-        wl_budget: int = 4096,
         cap: int | None = None,
     ):
         self.model = model
         self.q = tuple(_close_generators(model, q))
-        self.max_level = max_level
-        self.wl_budget = wl_budget
         self._cap = cap
         if a_seq is not None:
             vals = [int(v) for v in a_seq]
@@ -1180,9 +1182,9 @@ class LengthSystem:
             if ball.vertex_count == prev_size:
                 raise ValidationError("element is not generated by the given set")
             prev_size = ball.vertex_count
-            if r >= self.wl_budget:
-                raise CapExceeded("wordlength", 2 * r, self.wl_budget)
-            r = min(self.wl_budget, 2 * r)
+            if r >= WORDLENGTH_BUDGET:
+                raise CapExceeded("wordlength", 2 * r, WORDLENGTH_BUDGET)
+            r = min(WORDLENGTH_BUDGET, 2 * r)
 
     def length(self, gamma) -> int:
         wl = self.wordlength(gamma)
@@ -1191,8 +1193,8 @@ class LengthSystem:
         n = 1
         while n * self.a(n) < wl:
             n += 1
-            if n > self.max_level:
-                raise CapExceeded("length_level", n, self.max_level)
+            if n > MAX_LENGTH_LEVEL:
+                raise CapExceeded("length_level", n, MAX_LENGTH_LEVEL)
         return n
 
     def f(self, gamma) -> Fraction:

@@ -284,9 +284,10 @@ def invariant_analysis(cs: ChoiceSystem, action: FinAction) -> InvariantReport:
     if orbit_relation(action) != cs.F:
         raise ValidationError("action orbits differ from the ambient relation")
     carrier = cs.carrier
-    comps = EqRel.from_perms(
+    comp_rel = EqRel.from_perms(
         len(carrier), (tau_representation(cs, g) for _, g in action.gens)
-    ).classes
+    )
+    comps = comp_rel.classes
     # Closed form: the component of (x, n) is all (y, k) over [x]_F
     # pointing at the E-class of choice(x, n).
     for comp in comps:
@@ -303,13 +304,9 @@ def invariant_analysis(cs: ChoiceSystem, action: FinAction) -> InvariantReport:
     rng = random.Random(2)
     samples = 20
     invariance_ok = True
-    comp_id = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_id[i] = ci
     for _ in range(samples):
         t = tau_representation(cs, sample_full_group(cs.F, rng))
-        if any(comp_id[t(i)] != comp_id[i] for i in range(len(carrier))):
+        if any(not comp_rel.same(t(i), i) for i in range(len(carrier))):
             invariance_ok = False
 
     basis_rows = []

@@ -51,18 +51,6 @@ from .percolation import (
 )
 from .subrel import check_thm27, choice_functions, min_index_set, sigma
 
-SUITE_NAMES = (
-    "definiteness",
-    "prop11",
-    "cocycle",
-    "thm25",
-    "thm27",
-    "coinduce_identities",
-    "phi_correspondence",
-    "length",
-    "kazhdan_forms",
-)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -420,6 +408,7 @@ _SUITES = {
     "length": (suite_length, 0),
     "kazhdan_forms": (suite_kazhdan_forms, 2),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

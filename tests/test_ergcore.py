@@ -504,6 +504,56 @@ def test_action_closure_two_generators_words():
     assert elems[3].perm == a * b == b * a
 
 
+def _cyclic_action(m: int, cycle: tuple[int, ...]) -> FinAction:
+    g = Perm.from_cycles(m, [cycle])
+    return FinAction(FinSpace(m), [("g", g), ("g_inv", g.inverse())], {"g": "g_inv", "g_inv": "g"})
+
+
+def _two_involution_action() -> FinAction:
+    a = Perm.from_cycles(4, [(0, 1)])
+    b = Perm.from_cycles(4, [(2, 3)])
+    return FinAction(FinSpace(4), [("a", a), ("b", b)], {"a": "a", "b": "b"})
+
+
+@pytest.mark.parametrize(
+    "act", [_cyclic_action(6, tuple(range(6))), _two_involution_action()], ids=["powers", "words"]
+)
+def test_action_element_of_and_resolve_read_the_closure_table(act):
+    elems = act.closure()
+    for e in elems:
+        assert act.element_of(e.perm) is e
+        assert act.element(e.name) is e
+        assert act.resolve(e.name) == e.perm
+        assert act.resolve(e.perm) is e.perm
+    for lab in act.labels:
+        assert act.resolve(lab) == act.generator(lab)
+    outside = Perm((1, 2, 0) + tuple(range(3, act.space.size)))
+    assert outside.images not in {e.perm.images for e in elems}
+    with pytest.raises(ValidationError):
+        act.element_of(outside)
+    with pytest.raises(ValidationError):
+        act.resolve(0)
+    with pytest.raises(ValidationError):
+        act.resolve("no-such-element")
+
+
+def test_action_fixing_element():
+    assert _cyclic_action(6, tuple(range(6))).fixing_element() is None
+    # g is a 3-cycle on four points: every non-identity power fixes 3.
+    act = _cyclic_action(4, (0, 1, 2))
+    assert act.fixing_element() is act.element("g^1")
+    # a and b each fix the other's pair; a is first in closure order.
+    act = _two_involution_action()
+    assert act.fixing_element() is act.element("a")
+    free = FinAction(
+        FinSpace(4),
+        [("a", Perm.from_cycles(4, [(0, 1), (2, 3)])), ("b", Perm.from_cycles(4, [(0, 2), (1, 3)]))],
+        {"a": "a", "b": "b"},
+    )
+    assert [e.name for e in free.closure()] == ["1", "a", "b", "a*b"]
+    assert free.fixing_element() is None
+
+
 def test_action_rejects_bad_pairing():
     m = 3
     g = Perm.from_cycles(m, [(0, 1, 2)])
