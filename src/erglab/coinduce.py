@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CheckFailed, ValidationError, get_cap
+from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
 from .ergcore import EqRel, FinAction, FinSpace, GroupElement, Perm, in_full_group, orbit_relation, phi
 from .subrel import ChoiceSystem, choice_functions, index_cocycle
 
@@ -152,11 +152,14 @@ class TargetAction:
             raise ValidationError(f"no image for element {name!r}") from None
 
 
-def _orbit_unions(a0: FreeGroupAction, a: TargetAction):
-    """Unions of target orbits in order of `bits`: union number `bits` is
-    the union of the orbits whose bit is set, with the orbits ordered by
-    their least member."""
-    blocks = EqRel.from_perms(a.space.size, (a.perm(e.name) for e in a0.elements)).classes
+def _target_orbits(a0: FreeGroupAction, a: TargetAction) -> tuple[tuple[int, ...], ...]:
+    """The target orbits, ordered by their least member."""
+    return EqRel.from_perms(a.space.size, (a.perm(e.name) for e in a0.elements)).classes
+
+
+def _orbit_unions(blocks: Sequence[Sequence[int]]):
+    """Unions of the blocks in order of `bits`: union number `bits` is
+    the union of the blocks whose bit is set."""
     for bits in range(1 << len(blocks)):
         s: set[int] = set()
         for b, block in enumerate(blocks):
@@ -169,9 +172,14 @@ def target_orbit_sets(a0: FreeGroupAction, a: TargetAction) -> list[frozenset[in
     """All invariant subsets of the target: unions of target orbits.
 
     Subset number `bits` is the union of the orbits whose bit is set,
-    with the orbits ordered by their least member.
+    with the orbits ordered by their least member. The 2^k unions of k
+    orbits are counted against the `orbit_unions` cap before any is built.
     """
-    return list(_orbit_unions(a0, a))
+    blocks = _target_orbits(a0, a)
+    capn = get_cap("orbit_unions")
+    if 1 << len(blocks) > capn:
+        raise CapExceeded("orbit_unions", 1 << len(blocks), capn)
+    return list(_orbit_unions(blocks))
 
 
 def invariant_observables(a0: FreeGroupAction, a: TargetAction) -> list[list[Fraction]]:
@@ -179,7 +187,7 @@ def invariant_observables(a0: FreeGroupAction, a: TargetAction) -> list[list[Fra
     each of the first four proper orbit unions in `target_orbit_sets`
     order, read without building the other unions."""
     y = a.space.size
-    proper = (s for s in _orbit_unions(a0, a) if 0 < len(s) < y)
+    proper = (s for s in _orbit_unions(_target_orbits(a0, a)) if 0 < len(s) < y)
     obs = []
     for s in itertools.islice(proper, 4):
         mass = Fraction(len(s), y)

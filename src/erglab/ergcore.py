@@ -5,6 +5,15 @@ mass 1/m: permutations, equivalence relations, partial isomorphisms,
 generated group actions, the capture functionals delta_u / phi / psi /
 theta, nearest-point projection onto a full group, Gram certification
 of positive and negative definite kernels, the weak metric, and cost.
+
+The hot exact kernels count in integers and build one `Fraction` per
+reported value. A full group or an action's closure is an (N, m) numpy
+image table (`full_group_table`, `FinAction.closure_images`), the
+closure's multiplication table is an N x N index array
+(`FinAction.product_table`), and `hit_counts` gives phi or the
+agreement with a fixed permutation for every row at once, as a count
+over m. `gram_check` runs its LDL^T fraction-free (Bareiss) on the
+matrix scaled to integers, with one `Fraction` per pivot.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
 
@@ -250,6 +261,10 @@ class EqRel:
     def class_id(self, x: int) -> int:
         return self._class_id[x]
 
+    def class_ids(self) -> np.ndarray:
+        """The class index of every point, as an array."""
+        return np.array(self._class_id, dtype=np.intp)
+
     def class_of(self, x: int) -> tuple[int, ...]:
         return self._classes[self._class_id[x]]
 
@@ -394,6 +409,8 @@ class FinAction:
         self._closure: tuple[GroupElement, ...] | None = None
         self._by_name: dict[str, GroupElement] = {}
         self._by_images: dict[tuple[int, ...], GroupElement] = {}
+        self._images: np.ndarray | None = None
+        self._products: np.ndarray | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -418,6 +435,10 @@ class FinAction:
         (identity named "1").
         """
         if self._closure is not None:
+            # an explicit cap still binds a cached closure; the default
+            # was checked when the closure was built
+            if cap is not None and len(self._closure) > cap:
+                raise CapExceeded("closure", cap + 1, cap)
             return self._closure
         capn = get_cap("closure", cap)
         m = self.space.size
@@ -486,10 +507,56 @@ class FinAction:
             return gamma
         raise ValidationError("group element must be a name or a permutation")
 
+    def closure_images(self) -> np.ndarray:
+        """The closure as an (N, m) image table: row i is the permutation
+        of closure element i."""
+        if self._images is None:
+            self._images = np.array([e.perm.images for e in self.closure()], dtype=np.intp)
+            self._images.setflags(write=False)
+        return self._images
+
+    def product_table(self) -> np.ndarray:
+        """The closure's multiplication table: entry (i, j) is the index of
+        element i times element j, (e_i * e_j)(x) = e_i(e_j(x)).
+
+        Built once per action from row gathers of `closure_images` and a
+        sorted lookup of whole rows, in blocks of about _GATHER_LIMIT
+        entries.
+        """
+        if self._products is None:
+            images = self.closure_images()
+            n, m = images.shape
+            keys = _row_keys(images)
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+            products = np.empty((n, n), dtype=np.intp)
+            step = max(1, _GATHER_LIMIT // (n * m))
+            for lo in range(0, n, step):
+                # row (i - lo) * n + j is images[i][images[j]]
+                composed = images[lo : lo + step, images].reshape(-1, m)
+                pos = np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)
+                found = order[pos]
+                if not np.array_equal(images[found], composed):
+                    raise CheckFailed("closure is not closed under products")
+                products[lo : lo + step] = found.reshape(-1, n)
+            products.setflags(write=False)
+            self._products = products
+        return self._products
+
     def fixing_element(self) -> GroupElement | None:
         """The first non-identity closure element that fixes a point, or
         None when the action is free."""
         return next((e for e in self.closure()[1:] if e.perm.fixed_points()), None)
+
+
+_GATHER_LIMIT = 1 << 20  # entries of one product-table gather block
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (R, m) intp table as one opaque byte key, so whole
+    rows sort and search as scalars."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _word_name(word: tuple[str, ...]) -> str:
@@ -602,24 +669,50 @@ def full_group_size(rel: EqRel) -> int:
     return n
 
 
-def full_group(rel: EqRel, cap: int | None = None) -> Iterator[Perm]:
-    """Enumerate the full group of rel (all s with s(x) ~ x everywhere).
+def full_group_table(rel: EqRel, cap: int | None = None) -> np.ndarray:
+    """The full group of rel as an (N, m) image table, one permutation per
+    row, in `full_group` order: the per-class permutation blocks of
+    `itertools.permutations`, combined in `itertools.product` order.
 
-    Deterministic order; raises CapExceeded when the group is too large.
+    Raises CapExceeded when the group is too large.
     """
     capn = get_cap("full_group", cap)
     total = full_group_size(rel)
     if total > capn:
         raise CapExceeded("full_group", total, capn)
-    per_class = [
-        list(itertools.permutations(c)) for c in rel.classes
-    ]
-    for combo in itertools.product(*per_class):
-        images = [0] * rel.size
-        for cls, img in zip(rel.classes, combo):
-            for x, y in zip(cls, img):
-                images[x] = y
-        yield Perm(images)
+    table = np.empty((total, rel.size), dtype=np.intp)
+    after = total
+    for cls in rel.classes:
+        block = np.array(list(itertools.permutations(cls)), dtype=np.intp)
+        after //= len(block)
+        # the first class varies slowest: each block row repeats `after`
+        # times, and the repeated block is tiled over the earlier classes
+        col = np.repeat(block, after, axis=0)
+        table[:, cls] = np.tile(col, (total // len(col), 1))
+    return table
+
+
+def full_group(rel: EqRel, cap: int | None = None) -> Iterator[Perm]:
+    """Enumerate the full group of rel (all s with s(x) ~ x everywhere).
+
+    Deterministic order (the rows of `full_group_table`); raises
+    CapExceeded when the group is too large.
+    """
+    for row in full_group_table(rel, cap).tolist():
+        yield Perm._trusted(tuple(row))
+
+
+def hit_counts(rows: np.ndarray, target, labels=None) -> np.ndarray:
+    """Per row of an (N, m) image table, #{x : labels[row[x]] == target[x]};
+    labels default to the points themselves.
+
+    With labels = target = `rel.class_ids()` a row's count is m times
+    phi(rel, row); with a fixed permutation's images t as the target and
+    no labels it is the number of points where the row agrees with t,
+    m times 1 - delta_u(row, t).
+    """
+    images = rows if labels is None else np.asarray(labels)[rows]
+    return np.count_nonzero(images == np.asarray(target), axis=1)
 
 
 def sample_full_group(rel: EqRel, rng) -> Perm:
@@ -655,44 +748,54 @@ class GramCertificate:
     value: Fraction | None = None
 
 
-def _as_rational_matrix(values: Sequence[Sequence]) -> list[list[Fraction]]:
+def _integer_matrix(values: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(scale * values, scale) for a square symmetric rational matrix,
+    with scale the lcm of the entries' denominators."""
     n = len(values)
     mat = []
     for row in values:
         if len(row) != n:
             raise ValidationError("matrix is not square")
-        mat.append([Fraction(v) for v in row])
+        mat.append([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row])
+    scale = math.lcm(1, *(v.denominator for row in mat for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in mat]
     for i in range(n):
         for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
+            if a[i][j] != a[j][i]:
                 raise ValidationError(f"matrix not symmetric at ({i}, {j})")
-    return mat
+    return a, scale
 
 
-def _quad_form(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Fraction:
+def _quad_form(a: Sequence[Sequence[int]], scale: int, vec: Sequence[Fraction]) -> Fraction:
+    """vec^T (a / scale) vec."""
     n = len(vec)
     total = Fraction(0)
     for i in range(n):
         if vec[i] == 0:
             continue
-        row = mat[i]
+        row = a[i]
         total += vec[i] * sum(row[j] * vec[j] for j in range(n) if vec[j] != 0)
-    return total
+    return total / scale
 
 
-def _psd_factor(mat: list[list[Fraction]]):
-    """Exact LDL^T with symmetric diagonal pivoting.
+def _psd_factor(a: list[list[int]], scale: int):
+    """LDL^T with symmetric diagonal pivoting of the rational matrix
+    a / scale, run fraction-free on the integer matrix a (Bareiss).
 
+    After k positive pivots each remaining entry of `a` is the Schur
+    complement entry times the leading k x k minor M_k > 0, so every sign
+    test and the diagonal maximum (ties to the first index) are those of
+    the rational elimination, and pivot k is M_{k+1} / (M_k * scale).
     Returns (True, pivots, None) when the matrix is positive
     semidefinite, else (False, pivots_so_far, witness) with an exact
     rational witness vector whose quadratic form is negative.
     """
-    n = len(mat)
-    a = [row[:] for row in mat]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lower[i][i] = Fraction(1)
+    n = len(a)
+    a = [row[:] for row in a]
     perm = list(range(n))
+    # low[i][c] = a[i][c] when column c was eliminated: L[i][c] * minors[c + 1].
+    low: list[list[int]] = [[] for _ in range(n)]
+    minors = [1]
     pivots: list[Fraction] = []
 
     def swap(k: int, j: int) -> None:
@@ -702,18 +805,14 @@ def _psd_factor(mat: list[list[Fraction]]):
         for row in a:
             row[k], row[j] = row[j], row[k]
         perm[k], perm[j] = perm[j], perm[k]
-        for col in range(k):
-            lower[k][col], lower[j][col] = lower[j][col], lower[k][col]
+        low[k], low[j] = low[j], low[k]
 
-    def back_substitute(k: int, coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        # Solve lower^T x = y where y is supported on indices >= k,
-        # then undo the pivoting permutation.
-        y = [Fraction(0)] * n
-        for idx, c in coeffs.items():
-            y[idx] = c
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = y[i] - sum(lower[t][i] * x[t] for t in range(i + 1, n))
+    def back_substitute(k: int, coeffs: dict[int, int]) -> tuple[Fraction, ...]:
+        # Solve L^T x = y for y supported on indices >= k (columns >= k
+        # of L are those of the identity), then undo the pivoting.
+        x = [Fraction(coeffs.get(i, 0)) for i in range(n)]
+        for c in range(k - 1, -1, -1):
+            x[c] -= sum(low[t][c] * x[t] for t in range(c + 1, n)) / minors[c + 1]
         out = [Fraction(0)] * n
         for i in range(n):
             out[perm[i]] = x[i]
@@ -721,40 +820,34 @@ def _psd_factor(mat: list[list[Fraction]]):
 
     for k in range(n):
         j = max(range(k, n), key=lambda t: a[t][t])
-        dmax = a[j][j]
-        if dmax > 0:
+        if a[j][j] > 0:
             swap(k, j)
-            d = a[k][k]
-            pivots.append(d)
+            p, prev = a[k][k], minors[k]
+            pivots.append(Fraction(p, prev * scale))
+            col = [a[i][k] for i in range(n)]
             for i in range(k + 1, n):
-                lower[i][k] = a[i][k] / d
-            for i in range(k + 1, n):
-                li = lower[i][k]
+                low[i].append(col[i])
+                row = a[i]
+                cik = col[i]
                 for jj in range(k + 1, i + 1):
-                    a[i][jj] -= li * d * lower[jj][k]
-                    a[jj][i] = a[i][jj]
+                    v = (p * row[jj] - cik * col[jj]) // prev
+                    row[jj] = v
+                    a[jj][i] = v
+            minors.append(p)
             continue
         neg = next((i for i in range(k, n) if a[i][i] < 0), None)
         if neg is not None:
-            witness = back_substitute(k, {neg: Fraction(1)})
-            return False, tuple(pivots), witness
+            return False, tuple(pivots), back_substitute(k, {neg: 1})
         # All remaining diagonal entries are exactly zero: semidefinite
         # only if the whole remaining block vanishes.
-        pair = None
-        for i in range(k, n):
-            for jj in range(i + 1, n):
-                if a[i][jj] != 0:
-                    pair = (i, jj, a[i][jj])
-                    break
-            if pair:
-                break
+        pair = next(
+            ((i, jj) for i in range(k, n) for jj in range(i + 1, n) if a[i][jj] != 0), None
+        )
         if pair is None:
             pivots.extend([Fraction(0)] * (n - k))
             return True, tuple(pivots), None
-        i, jj, b = pair
-        t = Fraction(-1) if b > 0 else Fraction(1)
-        witness = back_substitute(k, {i: t, jj: Fraction(1)})
-        return False, tuple(pivots), witness
+        i, jj = pair
+        return False, tuple(pivots), back_substitute(k, {i: -1 if a[i][jj] > 0 else 1, jj: 1})
     return True, tuple(pivots), None
 
 
@@ -768,39 +861,42 @@ def gram_check(values: Sequence[Sequence], mode: str) -> GramCertificate:
     (quadratic form <= 0 on all zero-sum vectors)? Checked by double
     centering; a failure witness is a zero-sum rational vector with
     positive quadratic form.
+
+    The matrix is scaled to integers by the lcm of its denominators and
+    factored by fraction-free (Bareiss) elimination on Python ints, so
+    each pivot is one `Fraction` and the witness, built only on a
+    violation, is the one the rational elimination would give.
     """
     if mode not in ("positive", "negative"):
         raise ValidationError(f"unknown gram mode {mode!r}")
-    mat = _as_rational_matrix(values)
-    n = len(mat)
+    a, scale = _integer_matrix(values)
+    n = len(a)
     if mode == "positive":
-        ok, pivots, witness = _psd_factor(mat)
+        ok, pivots, witness = _psd_factor(a, scale)
         if ok:
             return GramCertificate(True, mode, n, pivots)
-        val = _quad_form(mat, witness)
+        val = _quad_form(a, scale, witness)
         if val >= 0:
             raise CheckFailed("positive-mode witness is not a violation")
         return GramCertificate(False, mode, n, pivots, witness, val)
     # negative mode: rho is conditionally negative definite iff
-    # B = -(I - J/n) rho (I - J/n) is positive semidefinite.
-    row_sums = [sum(row) for row in mat]
+    # B = -(I - J/n) rho (I - J/n) is positive semidefinite; factor the
+    # integer matrix n^2 * scale * B = -(n^2 a - n r_i - n r_j + T).
+    row_sums = [sum(row) for row in a]
     total = sum(row_sums)
+    nn = n * n
     b = [
-        [
-            -(mat[i][j] - Fraction(row_sums[i], n) - Fraction(row_sums[j], n)
-              + Fraction(total, n * n))
-            for j in range(n)
-        ]
+        [-(nn * a[i][j] - n * row_sums[i] - n * row_sums[j] + total) for j in range(n)]
         for i in range(n)
     ]
-    ok, pivots, witness = _psd_factor(b)
+    ok, pivots, witness = _psd_factor(b, nn * scale)
     if ok:
         return GramCertificate(True, mode, n, pivots)
     mean = Fraction(sum(witness), n)
     alpha = tuple(w - mean for w in witness)
     if sum(alpha) != 0:
         raise CheckFailed("negative-mode witness does not sum to zero")
-    val = _quad_form(mat, alpha)
+    val = _quad_form(a, scale, alpha)
     if val <= 0:
         raise CheckFailed("negative-mode witness is not a violation")
     return GramCertificate(False, mode, n, pivots, alpha, val)

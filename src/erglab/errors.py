@@ -1,7 +1,7 @@
 """Shared exception types and enumeration caps.
 
 Caps guard every potentially explosive enumeration (full groups, closures,
-product spaces, Cayley balls). Defaults can be overridden with the
+product spaces, Cayley balls, unions of target orbits). Defaults can be overridden with the
 ERGLAB_CAPS environment variable, a comma-separated list such as
 
     ERGLAB_CAPS="full_group=5000,product=200000"
@@ -37,6 +37,7 @@ DEFAULT_CAPS = {
     "closure": 20000,
     "product": 10**6,
     "ball": 4 * 10**6,
+    "orbit_unions": 1 << 12,
 }
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CheckFailed, ValidationError
-from .ergcore import EqRel, FinAction, GramCertificate, Perm, gram_check
+from .ergcore import EqRel, FinAction, GramCertificate, Perm, gram_check, hit_counts
 from .coinduce import FreeGroupAction
 
 _SQRT2 = math.sqrt(2.0)
@@ -228,20 +228,27 @@ class FiniteRep:
                 mats[name] = arr
             self.dimension = dim
             self._images = mats
-        for e1 in closure:
-            for e2 in closure:
-                prod = action.element_of(e1.perm * e2.perm).name
-                if self.kind == "perm":
-                    if self._images[prod] != self._images[e1.name] * self._images[e2.name]:
-                        raise ValidationError(
-                            f"images break multiplicativity at ({e1.name}, {e2.name})"
-                        )
-                else:
-                    lhs = self._images[e1.name] @ self._images[e2.name]
-                    if np.abs(lhs - self._images[prod]).max() > _ORTHO_TOL:
-                        raise ValidationError(
-                            f"images break multiplicativity at ({e1.name}, {e2.name})"
-                        )
+        # row j of breaks(i): does the image of e_i * e_j differ from the
+        # product of the images of e_i and e_j?
+        products = action.product_table()
+        if self.kind == "perm":
+            rows = np.array([self._images[e.name].images for e in closure], dtype=np.intp)
+
+            def breaks(i: int) -> np.ndarray:
+                return (rows[products[i]] != rows[i][rows]).any(axis=1)
+
+        else:
+            stack = np.array([self._images[e.name] for e in closure])
+
+            def breaks(i: int) -> np.ndarray:
+                return np.abs(stack[i] @ stack - stack[products[i]]).max(axis=(1, 2)) > _ORTHO_TOL
+
+        for i, e1 in enumerate(closure):
+            bad = np.flatnonzero(breaks(i))
+            if bad.size:
+                raise ValidationError(
+                    f"images break multiplicativity at ({e1.name}, {closure[bad[0]].name})"
+                )
         self._inv_basis: np.ndarray | None = None
 
     @staticmethod
@@ -252,14 +259,9 @@ class FiniteRep:
     @staticmethod
     def regular(action: FinAction) -> "FiniteRep":
         """Left translation on the closure itself."""
-        closure = action.closure()
-        pos = {e.perm.images: i for i, e in enumerate(closure)}
-        images = {}
-        for e in closure:
-            images[e.name] = Perm(
-                tuple(pos[(e.perm * h.perm).images] for h in closure)
-            )
-        return FiniteRep(action, images)
+        # row i of the product table is left translation by element i
+        rows = action.product_table().tolist()
+        return FiniteRep(action, {e.name: Perm(row) for e, row in zip(action.closure(), rows)})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -435,19 +437,20 @@ def pd_transfer(
         cert = gram_check(gram, "positive")
         if not cert.ok:
             raise ValidationError("input table is not positive-definite")
+    # phi(g) = sum over d of psi(d) * #{x : g x = d x} / m, summed over
+    # psi's common denominator: one Fraction per closure element
+    weights = [Fraction(psi[name]) for name, _ in small]
+    scale = math.lcm(1, *(w.denominator for w in weights))
+    numerators = np.array([w.numerator * (scale // w.denominator) for w in weights], dtype=object)
+    images = action.closure_images()
+    agree = np.array([hit_counts(images, p.images) for _, p in small], dtype=object)
     closure = action.closure()
-    values: dict = {}
-    for e in closure:
-        total = Fraction(0)
-        for name, p in small:
-            agree = sum(1 for x in range(m) if e.perm(x) == p(x))
-            if agree:
-                total += Fraction(psi[name]) * Fraction(agree, m)
-        values[e.name] = total
-    gram = [
-        [values[action.element_of(e1.perm.inverse() * e2.perm).name] for e2 in closure]
-        for e1 in closure
-    ]
+    phis = [Fraction(int(v), scale * m) for v in numerators @ agree]
+    values = {e.name: v for e, v in zip(closure, phis)}
+    # gram[i][j] = phi(e_i^-1 * e_j); the identity is element 0
+    products = action.product_table()
+    inverse = np.nonzero(products == 0)[1]
+    gram = [[phis[k] for k in products[i].tolist()] for i in inverse.tolist()]
     cert = gram_check(gram, "positive")
     if not cert.ok:
         raise CheckFailed("transferred table failed the positivity certificate")

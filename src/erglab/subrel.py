@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CheckFailed, ValidationError, get_cap
 from .ergcore import (
     EqRel,
@@ -22,8 +24,9 @@ from .ergcore import (
     PartialIso,
     Perm,
     cost,
-    full_group,
     full_group_size,
+    full_group_table,
+    hit_counts,
     in_full_group,
     orbit_relation,
     phi,
@@ -394,10 +397,13 @@ def min_index_set(
     for name, p in (("first", s), ("second", sp)):
         if not in_full_group(f_rel, p):
             raise ValidationError(f"the {name} conjugating map must preserve each ambient class")
-    closure = action.closure()
-    values = [(phi(e_rel, s * elem.perm * sp), elem.name) for elem in closure]
-    c = min(v for v, _ in values)
-    argmin = next(name for v, name in values if v == c)
+    # row g is the image table of s * g * sp; phi(E, row) is its count / m
+    composed = np.asarray(s.images)[action.closure_images()[:, sp.images]]
+    cid = e_rel.class_ids()
+    counts = hit_counts(composed, cid, cid)
+    best = int(np.argmin(counts))
+    c = Fraction(int(counts[best]), e_rel.size)
+    argmin = action.closure()[best].name
 
     per_class = []
     for cls in f_rel.classes:
@@ -609,38 +615,29 @@ def check_thm27(e_rel: EqRel, action: FinAction, cap: int | None = None) -> Capt
     if e_rel.size != f_rel.size:
         raise ValidationError("relation size differs from the action space")
     e_meet = e_rel.meet(f_rel)
-    closure = action.closure()
-    eps = max(1 - phi(e_meet, elem.perm) for elem in closure)
+    m = e_rel.size
+    cid = e_meet.class_ids()
+    eps = 1 - Fraction(int(hit_counts(action.closure_images(), cid, cid).min()), m)
     bound = 1 - 4 * eps
     capn = get_cap("full_group", cap)
-    total = full_group_size(f_rel)
-    best: Fraction | None = None
-    best_s: Perm | None = None
-    if total <= capn:
+    if full_group_size(f_rel) <= capn:
         mode = "exhaustive"
-        tested = 0
-        for t in full_group(f_rel, cap=capn):
-            v = phi(e_meet, t)
-            tested += 1
-            if best is None or v < best:
-                best, best_s = v, t
+        rows = full_group_table(f_rel, cap=capn)
     else:
         mode = "sampled"
-        tested = 500
         rng = random.Random(0)
-        for _ in range(tested):
-            t = sample_full_group(f_rel, rng)
-            v = phi(e_meet, t)
-            if best is None or v < best:
-                best, best_s = v, t
+        rows = np.array([sample_full_group(f_rel, rng).images for _ in range(500)], dtype=np.intp)
+    counts = hit_counts(rows, cid, cid)
+    k = int(np.argmin(counts))  # the first minimum
+    best = Fraction(int(counts[k]), m)
     margin = best - bound
     return CaptureBoundReport(
         eps=eps,
         bound=bound,
         mode=mode,
-        tested=tested,
+        tested=len(rows),
         min_phi=best,
-        argmin=best_s.images,
+        argmin=tuple(rows[k].tolist()),
         margin=margin,
         verdict="pass" if margin >= 0 else "fail",
     )

@@ -32,8 +32,9 @@ from .ergcore import (
     FinSpace,
     Perm,
     delta_u,
-    full_group,
+    full_group_table,
     gram_check,
+    hit_counts,
     project_to_full_group,
     psi,
     sample_full_group,
@@ -132,7 +133,9 @@ def suite_prop11(count: int = 50, size: int = 7, seed: int = 0) -> SuiteResult:
         rel = _random_relation(m, rng)
         s = _random_perm(m, rng)
         want = theta(rel, s)
-        brute = min(delta_u(s, t) for t in full_group(rel, cap=50000))
+        # exhaustive: the most points any full-group element agrees with s on
+        agree = hit_counts(full_group_table(rel, cap=50000), s.images)
+        brute = Fraction(m - int(agree.max()), m)
         proj = project_to_full_group(rel, s)
         if want != brute:
             failures.append(f"instance {i}: theta {want} vs brute force {brute}")

@@ -516,6 +516,27 @@ def test_cap_exceeded_is_a_validation_exit(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_orbit_unions_cap_bounds_the_thm33_sets(tmp_path, monkeypatch, capsys):
+    doc = make_coinduce_ready(4, 2)  # a transitive two-point target: 2 orbit unions
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("ERGLAB_CAPS", "orbit_unions=1")
+    code, _ = run(tmp_path, "coinduce", "--instance", str(path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cap 'orbit_unions' exceeded: need 2, cap is 1")
+    monkeypatch.setenv("ERGLAB_CAPS", "orbit_unions=2")
+    code, report = run(tmp_path, "coinduce", "--instance", str(path))
+    assert code == 0 and report["checks"]["thm33_identity"]["verdict"] == "pass"
+    # a trivial 16-point target has 2^16 orbit unions: refused by the default cap at once
+    monkeypatch.delenv("ERGLAB_CAPS")
+    doc["a"] = {"target_size": 16, "images": {name: list(range(16)) for name in doc["a"]["images"]}}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _ = run(tmp_path, "coinduce", "--instance", str(path))
+    assert code == 1
+    assert time.perf_counter() - start < 5
+    assert "cap 'orbit_unions' exceeded: need 65536, cap is 4096" in capsys.readouterr().err
+
 def test_check_failures_exit_two(tmp_path, six, monkeypatch):
     from erglab import cli as cli_mod
     from erglab.errors import CheckFailed

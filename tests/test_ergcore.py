@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,9 @@ from erglab import (
     delta_u,
     full_group,
     full_group_size,
+    full_group_table,
     gram_check,
+    hit_counts,
     in_full_group,
     orbit_relation,
     phi,
@@ -338,6 +341,48 @@ def test_cap_env_override(monkeypatch):
     assert len(list(full_group(EqRel.full(3)))) == 6
 
 
+def _full_group_by_product(rel: EqRel) -> list[tuple[int, ...]]:
+    """Independent enumeration: one per-class permutation each, combined
+    in itertools.product order (the first class varies slowest)."""
+    out = []
+    for combo in itertools.product(*(itertools.permutations(c) for c in rel.classes)):
+        images = [0] * rel.size
+        for cls, img in zip(rel.classes, combo):
+            for x, y in zip(cls, img):
+                images[x] = y
+        out.append(tuple(images))
+    return out
+
+
+def test_full_group_table_is_the_full_group_in_order():
+    rng = random.Random(17)
+    rels = [EqRel.equality(3), EqRel.full(4), EqRel(5, [[0, 3], [1, 2, 4]])]
+    rels += [random_partition(rng, rng.randint(1, 7)) for _ in range(40)]
+    for rel in rels:
+        table = full_group_table(rel)
+        assert table.shape == (full_group_size(rel), rel.size)
+        rows = [tuple(row) for row in table.tolist()]
+        assert rows == [t.images for t in full_group(rel)] == _full_group_by_product(rel)
+    with pytest.raises(CapExceeded):
+        full_group_table(EqRel.full(5), cap=119)
+
+
+def test_hit_counts_equal_phi_and_delta_u():
+    rng = random.Random(23)
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        rel = random_partition(rng, m)
+        perms = [random_perm(rng, m) for _ in range(rng.randint(1, 6))]
+        rows = np.array([p.images for p in perms])
+        cid = rel.class_ids()
+        assert cid.tolist() == [rel.class_id(x) for x in range(m)]
+        assert [F(int(c), m) for c in hit_counts(rows, cid, cid)] == [phi(rel, p) for p in perms]
+        t = random_perm(rng, m)
+        assert [1 - F(int(c), m) for c in hit_counts(rows, t.images)] == [
+            delta_u(p, t) for p in perms
+        ]
+
+
 # --- gram certification -------------------------------------------------------
 
 
@@ -429,6 +474,142 @@ def test_gram_uniform_distance_matrices_are_negative():
         fam = [random_perm(rng, m) for _ in range(rng.randint(1, 5))]
         rho = [[delta_u(s, t) for t in fam] for s in fam]
         assert gram_check(rho, "negative").ok
+
+
+# --- the integer LDL^T against a rational oracle ---------------------------
+
+
+def _oracle_factor(mat):
+    """Rational LDL^T with symmetric diagonal pivoting, written out in
+    Fractions: the largest remaining diagonal entry pivots (first index on
+    ties). Returns (ok, pivots, witness) as gram_check defines them."""
+    n = len(mat)
+    a = [[F(v) for v in row] for row in mat]
+    order = list(range(n))
+    lower = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots = []
+
+    def witness(y):
+        x = [F(0)] * n
+        for i in reversed(range(n)):
+            x[i] = y[i] - sum(lower[t][i] * x[t] for t in range(i + 1, n))
+        out = [F(0)] * n
+        for i, p in enumerate(order):
+            out[p] = x[i]
+        return tuple(out)
+
+    for k in range(n):
+        diag = [a[t][t] for t in range(k, n)]
+        j = k + diag.index(max(diag))
+        if a[j][j] > 0:
+            a[k], a[j] = a[j], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            order[k], order[j] = order[j], order[k]
+            for c in range(k):
+                lower[k][c], lower[j][c] = lower[j][c], lower[k][c]
+            d = a[k][k]
+            pivots.append(d)
+            for i in range(k + 1, n):
+                lower[i][k] = a[i][k] / d
+            for i in range(k + 1, n):
+                for jj in range(k + 1, n):
+                    a[i][jj] -= a[i][k] * a[k][jj] / d
+            continue
+        y = [F(0)] * n
+        neg = [t for t in range(k, n) if a[t][t] < 0]
+        if neg:
+            y[neg[0]] = F(1)
+            return False, tuple(pivots), witness(y)
+        pairs = [(i, jj) for i in range(k, n) for jj in range(i + 1, n) if a[i][jj] != 0]
+        if not pairs:
+            return True, tuple(pivots) + (F(0),) * (n - k), None
+        i, jj = pairs[0]
+        y[i], y[jj] = (F(-1) if a[i][jj] > 0 else F(1)), F(1)
+        return False, tuple(pivots), witness(y)
+    return True, tuple(pivots), None
+
+
+def _oracle_gram(mat, mode):
+    """(ok, pivots, witness, value) from the rational oracle; negative
+    mode factors -(I - J/n) M (I - J/n), built by matrix products."""
+    n = len(mat)
+    m = [[F(v) for v in row] for row in mat]
+
+    def quad(vec):
+        return sum((vec[i] * m[i][j] * vec[j] for i in range(n) for j in range(n)), F(0))
+
+    if mode == "positive":
+        ok, pivots, w = _oracle_factor(m)
+        return ok, pivots, w, None if ok else quad(w)
+    p = [[F(int(i == j)) - F(1, n) for j in range(n)] for i in range(n)]
+    pm = [[sum((p[i][t] * m[t][j] for t in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    b = [[-sum((pm[i][t] * p[t][j] for t in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    ok, pivots, w = _oracle_factor(b)
+    if ok:
+        return ok, pivots, None, None
+    alpha = tuple(v - sum(w) / n for v in w)
+    return ok, pivots, alpha, quad(alpha)
+
+
+GRAM_CASES = {
+    "empty": [],
+    "one-positive": [[3]],
+    "one-zero": [[0]],
+    "one-negative": [[F(-2, 3)]],
+    "rank-one": [[1, 1], [1, 1]],
+    "rank-two-of-three": [[2, 1, 3], [1, 1, 1], [3, 1, 4]],
+    "zero-block": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "zero-diagonal-coupling": [[0, 1], [1, 0]],
+    "zero-diagonal-negative-coupling": [[0, -2], [-2, 0]],
+    "coupling-after-a-pivot": [[1, 1, 0], [1, 1, 2], [0, 2, 4]],
+    "negative-diagonal-later": [[2, 1], [1, -3]],
+    "negative-diagonal-after-pivot": [[1, 2, 0], [2, 1, 0], [0, 0, 1]],
+    "tied-diagonal": [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
+    "tied-indefinite": [[1, 0, 2], [0, 1, 0], [2, 0, 1]],
+    "tie-after-elimination": [[4, 2, 2, 0], [2, 3, 1, 1], [2, 1, 3, -1], [0, 1, -1, 3]],
+    "mixed-denominators": [[F(1, 2), F(1, 3)], [F(1, 3), F(1, 6)]],
+    "mixed-indefinite": [
+        [F(1, 4), F(-1, 6), F(1, 10)],
+        [F(-1, 6), F(1, 9), F(2, 5)],
+        [F(1, 10), F(2, 5), F(-1, 15)],
+    ],
+    "squared-line": [[0, 1, 4], [1, 0, 1], [4, 1, 0]],
+    "stretched-line": [[0, 1, 9], [1, 0, 1], [9, 1, 0]],
+}
+
+
+def _certificate(cert):
+    return cert.ok, cert.pivots, cert.witness, cert.value
+
+
+@pytest.mark.parametrize("mode", ["positive", "negative"])
+@pytest.mark.parametrize("name", list(GRAM_CASES))
+def test_gram_certificates_equal_the_rational_oracle(name, mode):
+    mat = GRAM_CASES[name]
+    cert = gram_check(mat, mode)
+    assert (cert.mode, cert.size) == (mode, len(mat))
+    assert _certificate(cert) == _oracle_gram(mat, mode)
+    assert all(isinstance(p, Fraction) for p in cert.pivots)
+
+
+def test_gram_certificates_equal_the_oracle_on_random_matrices():
+    rng = random.Random(2024)
+    failing = 0
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        r = rng.randint(0, n)
+        if trial % 3 == 0:  # a Gram matrix of rank r: semidefinite, often singular
+            vecs = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(r)]
+            mat = [[sum((v[i] * v[j] for v in vecs), F(0)) for j in range(n)] for i in range(n)]
+        else:  # small entries: ties, zero diagonals and negative pivots are common
+            half = [[F(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])) for _ in range(n)] for _ in range(n)]
+            mat = [[half[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for mode in ("positive", "negative"):
+            cert = gram_check(mat, mode)
+            assert _certificate(cert) == _oracle_gram(mat, mode), (mat, mode)
+            failing += not cert.ok
+    assert failing > 100
 
 
 # --- weak metric and cost -----------------------------------------------------
@@ -573,3 +754,43 @@ def test_action_closure_cap():
     )
     with pytest.raises(CapExceeded):
         act.closure(cap=3)
+
+
+def test_action_closure_cap_binds_a_cached_closure():
+    act = _cyclic_action(7, tuple(range(7)))
+    assert len(act.closure()) == 7
+    with pytest.raises(CapExceeded) as exc:
+        act.closure(cap=3)
+    assert (exc.value.needed, exc.value.cap) == (4, 3)  # as the uncached search reports
+    assert len(act.closure(cap=7)) == 7
+
+
+def _non_free_word_action() -> FinAction:
+    # S_3 on {0, 1, 2} plus a fixed point: words over a transposition and a 3-cycle
+    t = Perm.from_cycles(4, [(0, 1)])
+    c = Perm.from_cycles(4, [(0, 1, 2)])
+    return FinAction(
+        FinSpace(4), [("t", t), ("c", c), ("c_inv", c.inverse())], {"t": "t", "c": "c_inv", "c_inv": "c"}
+    )
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        _cyclic_action(6, tuple(range(6))),
+        _cyclic_action(5, (0, 2, 4)),
+        _two_involution_action(),
+        _non_free_word_action(),
+    ],
+    ids=["free-powers", "non-free-powers", "non-free-words", "non-abelian-words"],
+)
+def test_product_table_matches_element_of(act):
+    elems = act.closure()
+    images = act.closure_images()
+    assert [tuple(row) for row in images.tolist()] == [e.perm.images for e in elems]
+    table = act.product_table()
+    assert table.shape == (len(elems), len(elems))
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert elems[table[i, j]] is act.element_of(a.perm * b.perm)
+    assert act.product_table() is table

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from erglab import (
+    CheckFailed,
     FinAction,
     FinSpace,
     FiniteRep,
@@ -21,6 +22,7 @@ from erglab import (
     cor54_thresholds,
     cor54_tier,
     cost_band,
+    gram_check,
     min_index_set,
     orbit_relation,
     pd_transfer,
@@ -562,3 +564,84 @@ def test_transfer_random_tables_stay_positive():
             el.name for el in action.closure() if el.perm.is_identity()
         )
         assert result.values[ident] == psi_table["d^0"]
+
+
+def _transfer_reference(psi_table, a0, action):
+    """pd_transfer's values and Gram certificate, one element at a time."""
+    m = action.space.size
+    values = {}
+    for el in action.closure():
+        total = Fraction(0)
+        for d in a0.elements:
+            agree = sum(1 for x in range(m) if el.perm(x) == d.perm(x))
+            total += Fraction(psi_table[d.name]) * Fraction(agree, m)
+        values[el.name] = total
+    gram = [
+        [values[action.element_of(e1.perm.inverse() * e2.perm).name] for e2 in action.closure()]
+        for e1 in action.closure()
+    ]
+    return values, gram_check(gram, "positive")
+
+
+def s3_on_six_points() -> FinAction:
+    # S_3 acting on itself by left translation: six points, non-abelian words
+    t = Perm.from_cycles(6, [(0, 3), (1, 5), (2, 4)])
+    c = Perm.from_cycles(6, [(0, 1, 2), (3, 4, 5)])
+    return FinAction(
+        FinSpace(6),
+        [("t", t), ("c", c), ("c_inv", c.inverse())],
+        {"t": "t", "c": "c_inv", "c_inv": "c"},
+    )
+
+
+def test_transfer_matches_the_per_element_reference():
+    rng = random.Random(314)
+    ambients = [shift_action(4), klein_action(), shift_action(4, step=3), s3_on_six_points()]
+    failed = 0
+    for trial in range(24):
+        action = ambients[trial % len(ambients)]
+        m = action.space.size
+        step = rng.choice([d for d in range(1, m + 1) if m % d == 0 and d < m] or [1])
+        a0 = FreeGroupAction(shift_action(m, step=step, label="d"))
+        if trial % 2:
+            psi_table = _autocorrelation_table(a0, rng)
+        else:  # symmetric, mixed denominators, not necessarily positive-definite
+            psi_table = {}
+            for e in a0.elements:
+                value = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                psi_table.setdefault(e.name, value)
+                psi_table.setdefault(a0.inverse_name(e.name), value)
+        values, cert = _transfer_reference(psi_table, a0, action)
+        if cert.ok:
+            result = pd_transfer(psi_table, a0, action)
+            assert result.values == values
+            assert list(result.values) == list(values)
+            assert result.certificate == cert
+        else:
+            with pytest.raises(CheckFailed, match="positivity certificate"):
+                pd_transfer(psi_table, a0, action)
+            failed += 1
+    assert 0 < failed < 12
+
+
+def test_rep_reports_the_first_broken_pair():
+    act = s3_action()
+    elems = act.closure()
+    perm_images = {el.name: el.perm for el in elems}
+    perm_images[elems[2].name] = elems[3].perm
+    mats = {}
+    for name, p in perm_images.items():
+        mat = np.zeros((3, 3))
+        mat[list(p.images), range(3)] = 1.0
+        mats[name] = mat
+    # the first (e1, e2) in closure order whose product image disagrees
+    first = next(
+        (e1.name, e2.name)
+        for e1 in elems
+        for e2 in elems
+        if perm_images[act.element_of(e1.perm * e2.perm).name]
+        != perm_images[e1.name] * perm_images[e2.name]
+    )
+    for images in (perm_images, mats):
+        with pytest.raises(ValidationError, match=r"multiplicativity at \(%s, %s\)" % first):
+            FiniteRep(act, images)

@@ -3,6 +3,7 @@ index/separation/merge/evasion constructions."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -529,6 +530,88 @@ def test_capture_bound_holds_on_random_instances():
         report = check_thm27(e, act, cap=5000)
         assert report.verdict == "pass"
         assert report.margin >= 0
+
+
+# --- table kernels against per-element reference loops -------------------------
+
+
+def _full_group_reference(rel: EqRel) -> list[Perm]:
+    out = []
+    for combo in itertools.product(*(itertools.permutations(c) for c in rel.classes)):
+        images = [0] * rel.size
+        for cls, img in zip(rel.classes, combo):
+            for x, y in zip(cls, img):
+                images[x] = y
+        out.append(Perm(images))
+    return out
+
+
+def _thm27_reference(e_rel: EqRel, action: FinAction, cap: int):
+    """check_thm27's fields from one phi call per element, and how many
+    elements attain the minimum."""
+    f_rel = orbit_relation(action)
+    e_meet = e_rel.meet(f_rel)
+    eps = max(1 - phi(e_meet, el.perm) for el in action.closure())
+    perms = _full_group_reference(f_rel)
+    mode = "exhaustive"
+    if len(perms) > cap:
+        rng = random.Random(0)
+        perms = [sample_full_group(f_rel, rng) for _ in range(500)]
+        mode = "sampled"
+    values = [phi(e_meet, t) for t in perms]
+    best = min(values)
+    fields = (eps, 1 - 4 * eps, mode, len(perms), best, perms[values.index(best)].images)
+    return fields, values.count(best)
+
+
+def _random_instance(rng: random.Random):
+    m = rng.randint(2, 6)
+    e_rel = EqRel.from_perms(m, [Perm(rng.sample(range(m), m))])
+    gens = [Perm(rng.sample(range(m), m)) for _ in range(rng.randint(1, 2))]
+    labels = [f"g{i}" for i in range(len(gens))]
+    pairs = [(lab, g) for lab, g in zip(labels, gens)] + [
+        (lab + "_inv", g.inverse()) for lab, g in zip(labels, gens)
+    ]
+    inverses = {lab: lab + "_inv" for lab in labels}
+    inverses.update({lab + "_inv": lab for lab in labels})
+    return e_rel, FinAction(FinSpace(m), pairs, inverses)
+
+
+def test_capture_bound_matches_the_per_element_reference():
+    rng = random.Random(271)
+    modes = set()
+    ties = 0
+    for trial in range(60):
+        e_rel, act = _random_instance(rng)
+        cap = rng.choice([1, 5, 50000])
+        report = check_thm27(e_rel, act, cap=cap)
+        fields, attained = _thm27_reference(e_rel, act, cap)
+        assert (
+            report.eps, report.bound, report.mode, report.tested, report.min_phi, report.argmin
+        ) == fields
+        assert report.margin == report.min_phi - report.bound
+        modes.add(report.mode)
+        ties += attained > 1
+    assert modes == {"exhaustive", "sampled"}
+    assert ties > 10  # the first minimum is the one reported
+
+
+def test_min_index_capture_matches_the_per_element_reference():
+    rng = random.Random(272)
+    ties = 0
+    for trial in range(60):
+        _, act = _random_instance(rng)
+        f_rel = orbit_relation(act)
+        e_rel, _ = random_nested_pair(rng, f_rel.size)
+        e_rel = e_rel.meet(f_rel)
+        s, sp = sample_full_group(f_rel, rng), sample_full_group(f_rel, rng)
+        report = min_index_set(e_rel, f_rel, s, sp, act)
+        values = [(phi(e_rel, s * el.perm * sp), el.name) for el in act.closure()]
+        c = min(v for v, _ in values)
+        assert report.c == c
+        assert report.argmin_gamma == next(name for v, name in values if v == c)
+        ties += sum(v == c for v, _ in values) > 1
+    assert ties > 10
 
 
 # --- merge links and evading maps ------------------------------------------------------
