@@ -21,7 +21,6 @@ from .coinduce import FreeGroupAction
 
 _SQRT2 = math.sqrt(2.0)
 _ORTHO_TOL = 1e-12
-_POWER_TOL = 1e-10
 
 
 def _is_rational(v) -> bool:
@@ -287,8 +286,7 @@ class FiniteRep:
         if self.kind == "matrix":
             return img
         mat = np.zeros((self.dimension, self.dimension))
-        for i, j in enumerate(img.images):
-            mat[j, i] = 1.0
+        mat[list(img.images), range(self.dimension)] = 1.0
         return mat
 
     def invariant_basis(self) -> np.ndarray:
@@ -327,14 +325,20 @@ class AveragingReport:
     eps_cap: float
     k: int
     invariant_dimension: int
-    iterations: int
+    iterations: int  # always 0: the norm comes from an eigensolve, not an iteration
 
 
 def averaging_norm(rep: FiniteRep, q: Sequence[str]) -> AveragingReport:
-    """Operator norm of the generator average on the complement of the
-    fixed subspace, by deflated power iteration (tolerance 1e-10), and
-    the per-representation cap min(sqrt(2), sqrt(2k(1 - norm))) on any
-    gap constant valid for q against this representation."""
+    """Operator norm of the generator average T = (1/k) sum over q of the
+    images on the complement of the fixed subspace, and the
+    per-representation cap min(sqrt(2), sqrt(2k(1 - norm))) on any gap
+    constant valid for q against this representation.
+
+    q is symmetric and the images are orthogonal, so T is symmetric: the
+    norm is the largest |eigenvalue| of T compressed to an orthonormal
+    basis of the complement, from a dense symmetric eigensolve. No
+    iteration runs, so `iterations` is 0.
+    """
     q = list(q)
     names = set(rep.names)
     for name in q:
@@ -351,49 +355,18 @@ def averaging_norm(rep: FiniteRep, q: Sequence[str]) -> AveragingReport:
     basis = rep.invariant_basis()
     d = rep.dimension
     inv_dim = basis.shape[1]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - basis @ (basis.T @ v)
-
-    def t_apply(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for name in q:
-            out += rep.apply(name, v)
-        return out / k
-
     if inv_dim >= d:
         return AveragingReport(0.0, _SQRT2, k, inv_dim, 0)
-    v = project(np.arange(1, d + 1, dtype=float))
-    if np.linalg.norm(v) < 1e-14:
-        v = None
-        for i in range(d):
-            cand = np.zeros(d)
-            cand[i] = 1.0
-            cand = project(cand)
-            if np.linalg.norm(cand) > 1e-8:
-                v = cand
-                break
-        if v is None:
-            return AveragingReport(0.0, _SQRT2, k, inv_dim, 0)
-    v /= np.linalg.norm(v)
-    # iterate T^T T = T^2 on the complement; the square keeps it PSD
-    lam = 0.0
-    iters = 0
-    for iters in range(1, 100001):
-        w = project(t_apply(t_apply(v)))
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            lam = 0.0
-            break
-        new_lam = float(v @ w)
-        v = w / nw
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    norm = math.sqrt(max(lam, 0.0))
+    t_mat = sum(rep.matrix(name) for name in q) / k
+    if inv_dim:
+        # the basis is orthonormal, so the right singular vectors past its
+        # rank are an orthonormal basis of the complement
+        comp = np.linalg.svd(basis.T)[2][inv_dim:].T
+        t_mat = comp.T @ t_mat @ comp
+    # matrix images are orthogonal only to within _ORTHO_TOL
+    norm = float(np.abs(np.linalg.eigvalsh((t_mat + t_mat.T) / 2)).max())
     eps_cap = min(_SQRT2, math.sqrt(max(0.0, 2.0 * k * (1.0 - norm))))
-    return AveragingReport(norm, eps_cap, k, inv_dim, iters)
+    return AveragingReport(norm, eps_cap, k, inv_dim, 0)
 
 
 # -- transfer of positive-definite functions ------------------------------------------
@@ -414,9 +387,10 @@ def pd_transfer(
     """Push a positive-definite table on the small group to the large
     one: phi(g) = sum over d of psi(d) * measure{x : g x = d x}.
 
-    Both actions must move the same space. The output table is
-    certified positive by an exact Gram check over the closure of the
-    large action.
+    Both actions must move the same space. A positive-definite table
+    has psi(g^-1) = psi(g), so a table that breaks this is refused,
+    naming g, before any Gram check. The output table is certified
+    positive by an exact Gram check over the closure of the large action.
     """
     if a0.base.space.size != action.space.size:
         raise ValidationError("the two actions live on different spaces")
@@ -425,11 +399,17 @@ def pd_transfer(
         raise ValidationError("table must be keyed by the small group exactly")
     m = action.space.size
     small = [(e.name, e.perm) for e in a0.elements]
+    weights = {name: Fraction(psi[name]) for name, _ in small}
+    for name, w in weights.items():
+        inv = a0.inverse_name(name)
+        if weights[inv] != w:
+            raise ValidationError(
+                f"table is not symmetric: psi({name}) != psi({inv}), the value at its inverse"
+            )
     if certify_input:
-        table = {name: Fraction(v) for name, v in psi.items()}
         gram = [
             [
-                table[a0.name_of((p1.inverse() * p2))]
+                weights[a0.name_of((p1.inverse() * p2))]
                 for _, p2 in small
             ]
             for _, p1 in small
@@ -439,9 +419,10 @@ def pd_transfer(
             raise ValidationError("input table is not positive-definite")
     # phi(g) = sum over d of psi(d) * #{x : g x = d x} / m, summed over
     # psi's common denominator: one Fraction per closure element
-    weights = [Fraction(psi[name]) for name, _ in small]
-    scale = math.lcm(1, *(w.denominator for w in weights))
-    numerators = np.array([w.numerator * (scale // w.denominator) for w in weights], dtype=object)
+    scale = math.lcm(1, *(w.denominator for w in weights.values()))
+    numerators = np.array(
+        [w.numerator * (scale // w.denominator) for w in weights.values()], dtype=object
+    )
     images = action.closure_images()
     agree = np.array([hit_counts(images, p.images) for _, p in small], dtype=object)
     closure = action.closure()

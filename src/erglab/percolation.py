@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
 from .ergcore import EqRel, FinAction, Perm, phi
-from .rng import uniforms
+from .rng import IndexDraw, uniforms
 
 
 # -- group models -------------------------------------------------------------
@@ -183,7 +183,9 @@ class ProductModel:
 class CayleyBall:
     """Word-length ball: vertices ordered by (distance, canonical key),
     undirected edges {v, sv} with both ends inside, boundary = the
-    outermost level.
+    vertices at distance `radius`. Vertices are ordered by distance, so
+    the boundary is the tail range(b, vertex_count) of the indices (empty
+    when the ball stops growing before its radius), and kernels slice it.
 
     The ball keeps its vertices in a store (`_VertexList`, `_FreeWords`
     or `_ZdCodes`) that finds a vertex's index and decodes the vertex
@@ -196,7 +198,7 @@ class CayleyBall:
     radius: int
     distances: np.ndarray
     edges: np.ndarray  # (E, 2) int64, each row (i, j) with i < j
-    boundary: tuple[int, ...]
+    boundary: range
     _store: object = field(repr=False)
     _vertices: tuple | None = field(default=None, repr=False)
     _forest: tuple | None = field(default=None, repr=False)
@@ -242,29 +244,39 @@ class CayleyBall:
             raise ValidationError("no such edge in the ball") from None
 
     def forest_structure(self):
-        """(parent, parent_edge, level_slices) arrays for tree balls."""
+        """(parent, parent_edge, level_slices) arrays for tree balls.
+
+        parent_edge[v] is the index of the edge {parent[v], v}; entry 0,
+        the root's, is 0 in both arrays. A free ball returns its store's
+        own parent array, not a copy, and needs no check: it is a tree by
+        construction. Other balls check that every edge steps one level
+        down and that no vertex has two parents.
+        """
         if self._forest is not None:
             return self._forest
         if not self.is_tree():
             raise ValidationError("ball is not a tree; the forest kernel does not apply")
         n = self.vertex_count
         i, j = self.edges.T
-        # every edge steps one level down and no vertex has two parents
-        if not np.all(self.distances[i] + 1 == self.distances[j]) or np.any(
-            np.bincount(j, minlength=n) > 1
-        ):
-            raise ValidationError("ball is not a tree; the forest kernel does not apply")
-        parent = np.zeros(n, dtype=np.int64)
+        if isinstance(self._store, _FreeWords):
+            parent = self._store.parent
+            starts = self._store.starts
+        else:
+            if not np.all(self.distances[i] + 1 == self.distances[j]) or np.any(
+                np.bincount(j, minlength=n) > 1
+            ):
+                raise ValidationError("ball is not a tree; the forest kernel does not apply")
+            parent = np.zeros(n, dtype=np.int64)
+            parent[j] = i
+            starts = np.searchsorted(self.distances, np.arange(self.radius + 2)).tolist()
         parent_edge = np.zeros(n, dtype=np.int64)
-        parent[j] = i
         parent_edge[j] = np.arange(len(j), dtype=np.int64)
-        slices = []
-        for d in range(1, self.radius + 1):
-            lo = int(np.searchsorted(self.distances, d, side="left"))
-            hi = int(np.searchsorted(self.distances, d, side="right"))
-            if lo < hi:
-                slices.append((lo, hi))
-        self._forest = (parent, parent_edge, tuple(slices))
+        slices = tuple(
+            (starts[d], starts[d + 1])
+            for d in range(1, self.radius + 1)
+            if starts[d] < starts[d + 1]
+        )
+        self._forest = (parent, parent_edge, slices)
         return self._forest
 
 
@@ -465,14 +477,13 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
                 edges.add((min(i, j), max(i, j)))
     edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     dist_arr = np.array(distances, dtype=np.int64)
-    boundary = tuple(int(i) for i in np.nonzero(dist_arr == r)[0])
     return CayleyBall(
         model=model,
         q=tuple(qc),
         radius=r,
         distances=dist_arr,
         edges=edge_arr,
-        boundary=boundary,
+        boundary=range(int(np.searchsorted(dist_arr, r)), len(vertices)),
         _store=_VertexList(tuple(vertices), order),
     )
 
@@ -531,7 +542,7 @@ def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
         radius=r,
         distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
         edges=np.stack([lo[order], hi[order]], axis=1),
-        boundary=tuple(range(n - sizes[-1], n)),
+        boundary=range(n - sizes[-1], n),
         _store=_ZdCodes(codes, d, r, starts),
     )
 
@@ -571,7 +582,7 @@ def _free_ball(model: FreeModel, qc: list, r: int, capn: int) -> CayleyBall:
         radius=r,
         distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
         edges=np.stack([parent[1:][order], order + 1], axis=1),
-        boundary=tuple(range(n - sizes[-1], n)),
+        boundary=range(n - sizes[-1], n),
         _store=_FreeWords(tuple(letters), parent, np.concatenate(firsts), starts),
     )
 
@@ -668,7 +679,7 @@ def cluster_stats(configs: Iterable[PercConfig], targets: Sequence = ()) -> Clus
             raise ValidationError("all configurations must share one ball")
         labels = cluster_labels(cfg)
         root = labels[0]
-        blabels = labels[list(ball.boundary)]
+        blabels = labels[ball.boundary.start :]
         if ball.boundary and bool(np.any(blabels == root)):
             theta += 1
         btotal += len(np.unique(blabels))
@@ -772,6 +783,9 @@ def _forest_chunk(
     - a cluster meets the boundary iff its top vertex w (the root, or
       u_pe[w] >= p) has D[w] < p, so the boundary-cluster count is
       #{D < p} - #{non-root w : max(D[w], u_pe[w]) < p}.
+
+    Each trial hashes its uniforms straight into u_pe at the parent-edge
+    indices (`IndexDraw`), and every buffer is allocated once per chunk.
     """
     parent, parent_edge, slices = ball.forest_structure()
     n = ball.vertex_count
@@ -780,27 +794,35 @@ def _forest_chunk(
     for v in tidx:
         path = []
         while v != 0:
-            path.append(parent_edge[v])
+            path.append(v)
             v = parent[v]
         paths.append(np.array(path, dtype=np.int64))
-    d_init = np.full(n, np.inf)
-    d_init[list(ball.boundary)] = -np.inf
-    edge_of = parent_edge[1:]  # vertex 0 is the root; 1..n-1 all have parents
+    draw = IndexDraw(parent_edge[1:])  # vertex 0 is the root; 1..n-1 all have parents
     u_pe = np.empty(n)
+    d = np.empty(n)
+    # the boundary is the last level, where no vertex is a parent, so no
+    # trial writes its -inf
+    inner = ball.boundary.start
+    d[inner:] = -np.inf
     d_up = np.empty(n)  # max(D[w], u_pe[w]): D as seen from w's parent
+    below = np.empty(n, dtype=bool)
     totals = np.zeros((len(grid), 2 + len(tidx)), dtype=np.int64)
     for trial in range(lo, hi):
-        u = uniforms(seed, trial, ball.edge_count)
-        np.take(u, edge_of, out=u_pe[1:])
-        d = d_init.copy()
+        draw.fill(seed, trial, u_pe[1:])
+        d[:inner] = np.inf
         for lo_v, hi_v in reversed(slices):
             np.maximum(d[lo_v:hi_v], u_pe[lo_v:hi_v], out=d_up[lo_v:hi_v])
             np.minimum.at(d, parent[lo_v:hi_v], d_up[lo_v:hi_v])
         totals[:, 0] += d[0] < grid
         for j, p in enumerate(grid):
-            totals[j, 1] += np.count_nonzero(d < p) - np.count_nonzero(d_up[1:] < p)
+            # D < p holds on the whole boundary, so only the rest is compared
+            totals[j, 1] += (
+                n - inner
+                + np.count_nonzero(np.less(d[:inner], p, out=below[:inner]))
+                - np.count_nonzero(np.less(d_up[1:], p, out=below[1:]))
+            )
         for t, path in enumerate(paths):
-            totals[:, 2 + t] += u[path].max(initial=-np.inf) < grid
+            totals[:, 2 + t] += u_pe[path].max(initial=-np.inf) < grid
     pos = np.searchsorted(grid, p_list)
     return [[int(c) for c in totals[j]] for j in pos]
 
@@ -827,7 +849,6 @@ def _contract_chunk(
     """
     n = ball.vertex_count
     grid = np.unique(np.array(p_list, dtype=np.float64))
-    bidx = np.array(ball.boundary, dtype=np.int64)
     tarr = np.array(tidx, dtype=np.int64)
     ei, ej = ball.edges.T
     totals = np.zeros((len(grid), 2 + len(tidx)), dtype=np.int64)
@@ -849,7 +870,7 @@ def _contract_chunk(
                 ncomp, comp = connected_components(graph, directed=False)
                 cur = comp[cur]
             root = cur[0]
-            bids = cur[bidx]
+            bids = cur[ball.boundary.start :]
             totals[j, 0] += np.any(bids == root)
             totals[j, 1] += len(np.unique(bids))
             totals[j, 2:] += cur[tarr] == root
@@ -870,12 +891,14 @@ def sweep(
     Each trial draws one set of edge uniforms reused for every p, so
     open sets are nested along the grid and theta is monotone per
     sample path. The ball's shape picks the kernel: on tree balls the
-    forest kernel (`_forest_chunk`) turns each trial's uniforms into
+    forest kernel (`_forest_chunk`) draws each trial's uniforms straight
+    at the parent-edge indices into buffers it reuses, turns them into
     per-vertex thresholds and reads each grid point off them with two
     array comparisons; on other balls the contraction kernel
     (`_contract_chunk`) walks the sorted grid once per trial, merging
     the components joined by the edges that open between consecutive
-    points. Both count what `cluster_stats` over the `percolate`
+    points. Both read the boundary as the tail slice of the vertex
+    indices, and count what `cluster_stats` over the `percolate`
     configuration of each grid point and trial counts. A one-point grid
     is a single-p run: `erglab percolate` is one. Counters are
     integers merged by summation: the result is identical for any

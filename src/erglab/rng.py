@@ -4,6 +4,11 @@ Every value is a pure function of (seed, stream, index), so trials can
 be generated in any order, on any worker, with identical results. The
 mixer is the splitmix64 finalizer; streams are separated by offsetting
 the counter with the 64-bit golden ratio before mixing.
+
+Because a value depends on its index alone, any set of indices can be
+drawn without drawing the rest: `IndexDraw` hashes a fixed index array
+in place, for one (seed, stream) after another, into a buffer its
+caller reuses. `uniforms` is that draw over the indices 0..count-1.
 """
 
 from __future__ import annotations
@@ -36,13 +41,46 @@ def uniform_at(seed: int, stream: int, index: int) -> float:
     return (z >> 11) * 2.0**-53
 
 
+# numpy scalars made once: the draw hashes with these every call
+_ONE = np.uint64(1)
+_GOLDEN64 = np.uint64(GOLDEN)
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_LAST, _KEEP53 = np.uint64(31), np.uint64(11)
+
+
+class IndexDraw:
+    """uniform_at(seed, stream, i) for the indices i of one fixed array,
+    hashed in place for any (seed, stream).
+
+    The counters (i + 1) * GOLDEN are computed once, here; `fill` then
+    adds the stream key and mixes in a reused uint64 scratch array, with
+    no temporaries.
+    """
+
+    def __init__(self, index: np.ndarray):
+        self.index = np.asarray(index)
+        self._counters = np.add(self.index.astype(np.uint64, copy=False), _ONE)
+        self._counters *= _GOLDEN64
+        self._z = np.empty_like(self._counters)
+
+    def fill(self, seed: int, stream: int, out: np.ndarray) -> np.ndarray:
+        """Write the draws of (seed, stream) into the float64 array out,
+        one per index, and return it."""
+        z = self._z
+        t = out.view(np.uint64)  # out's bytes hold each shifted term until the end
+        np.add(self._counters, np.uint64(stream_key(seed, stream)), z)
+        for shift, mult in _ROUNDS:
+            np.right_shift(z, shift, t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, _LAST, t)
+        z ^= t
+        z >>= _KEEP53
+        # below 2^53 now, so the int64 view holds the same values
+        np.multiply(z.view(np.int64), 2.0**-53, out)
+        return out
+
+
 def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     """Vectorized uniform_at(seed, stream, 0..count-1) as float64."""
-    key = np.uint64(stream_key(seed, stream))
-    golden = np.uint64(GOLDEN)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = key + idx * golden
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return IndexDraw(np.arange(count, dtype=np.uint64)).fill(seed, stream, np.empty(count))

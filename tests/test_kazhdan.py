@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erglab import (
     CheckFailed,
@@ -465,6 +467,47 @@ def test_avgnorm_matches_dense_oracle_on_small_groups():
         assert report.eps_cap <= SQRT2 + 1e-15
 
 
+def test_avgnorm_s3_conjugate_transposition_sets_agree():
+    # (0 1) and (0 2) = t*c are conjugate, so {1, t} and {1, t*c} average
+    # to conjugate operators: each fixes a non-constant vector, norm 1
+    for rep in (FiniteRep.natural(s3_action()), FiniteRep.regular(s3_action())):
+        for q in (("1", "t"), ("1", "t*c")):
+            report = averaging_norm(rep, q)
+            assert abs(report.norm - 1.0) < 1e-12
+            assert abs(report.norm - _dense_complement_norm(rep, q)) < 1e-12
+            assert report.eps_cap < 1e-6
+            assert report.iterations == 0
+
+
+def _two_generator_action(a: Perm, b: Perm) -> FinAction:
+    gens, inverses = [], {}
+    for lab, p in (("a", a), ("b", b)):
+        gens.append((lab, p))
+        if p.inverse() == p:
+            inverses[lab] = lab
+        else:
+            gens.append((lab + "_inv", p.inverse()))
+            inverses[lab], inverses[lab + "_inv"] = lab + "_inv", lab
+    return FinAction(FinSpace(a.size), gens, inverses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_avgnorm_matches_the_dense_oracle_on_random_actions(data):
+    # regular representations stay at most 5 points (|S_5| = 120)
+    kind = data.draw(st.sampled_from(["natural", "regular"]))
+    n = data.draw(st.integers(1, 6 if kind == "natural" else 5))
+    a, b = (Perm(tuple(data.draw(st.permutations(range(n))))) for _ in range(2))
+    action = _two_generator_action(a, b)
+    rep = FiniteRep.natural(action) if kind == "natural" else FiniteRep.regular(action)
+    chosen = data.draw(st.sets(st.sampled_from(rep.names), max_size=4))
+    q = {rep.identity_name} | chosen | {rep.inverse_name(name) for name in chosen}
+    report = averaging_norm(rep, sorted(q))
+    assert abs(report.norm - _dense_complement_norm(rep, sorted(q))) < 1e-9
+    assert report.k == len(q)
+    assert report.iterations == 0
+
+
 def test_avgnorm_whole_group_average_vanishes():
     rep = FiniteRep.regular(shift_action(4))
     report = averaging_norm(rep, rep.names)
@@ -533,6 +576,16 @@ def test_transfer_validation():
         pd_transfer({"d^0": 1}, a0, shift_action(4))
     with pytest.raises(ValidationError, match="not positive-definite"):
         pd_transfer({"d^0": 1, "d^1": 2}, a0, shift_action(4), certify_input=True)
+
+
+def test_transfer_names_the_element_where_the_table_is_not_symmetric():
+    a0 = FreeGroupAction(shift_action(4, label="d"))
+    psi_table = {"d^0": 1, "d^1": Fraction(1, 2), "d^2": 0, "d^3": 0}
+    for certify_input in (False, True):
+        with pytest.raises(ValidationError, match=r"not symmetric: psi\(d\^1\) != psi\(d\^3\)"):
+            pd_transfer(psi_table, a0, shift_action(4), certify_input=certify_input)
+    psi_table["d^3"] = Fraction(1, 2)
+    assert pd_transfer(psi_table, a0, shift_action(4)).certificate.ok
 
 
 def _autocorrelation_table(a0: FreeGroupAction, rng: random.Random) -> dict:

@@ -2,12 +2,17 @@
 exact action/configuration dictionary, and word-length scales."""
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erglab
 from erglab import (
     CapExceeded,
     FinAction,
@@ -28,7 +33,7 @@ from erglab import (
     sweep,
 )
 from erglab.percolation import _contract_chunk, _FreeWords, _ZdCodes
-from erglab.rng import GOLDEN, MASK64, mix64, stream_key, uniform_at, uniforms
+from erglab.rng import GOLDEN, MASK64, IndexDraw, mix64, stream_key, uniform_at, uniforms
 
 
 # -- random numbers -----------------------------------------------------------
@@ -65,6 +70,25 @@ def test_uniforms_in_unit_interval_and_distinct_streams():
 def test_stream_key_mixes_trial_index():
     keys = {stream_key(5, t) for t in range(100)}
     assert len(keys) == 100
+
+
+def test_index_draw_fills_a_reused_buffer_at_any_indices():
+    rng = np.random.default_rng(8)
+    edges = 1000
+    index = np.concatenate([[0, edges - 1], rng.integers(0, edges, 300), [edges - 1, 0]])
+    draw = IndexDraw(index)
+    out = np.full(len(index), np.nan)
+    for seed, stream in ((0, 0), (7, 3), (2**64 - 1, 12), (123456789, 0)):
+        assert draw.fill(seed, stream, out) is out
+        assert np.array_equal(out, uniforms(seed, stream, edges)[index])
+        picks = rng.integers(0, len(index), 20).tolist() + [0, len(index) - 1]
+        assert [out[k] for k in picks] == [uniform_at(seed, stream, int(index[k])) for k in picks]
+    # a strided view of a larger buffer, as the forest kernel's u_pe[1:] is
+    # a slice, is written in place
+    big = np.zeros(2 * len(index) + 1)
+    draw.fill(5, 1, big[1::2])
+    assert np.array_equal(big[1::2], uniforms(5, 1, edges)[index])
+    assert not big[0::2].any()
 
 
 # -- group models ---------------------------------------------------------------
@@ -145,7 +169,7 @@ def test_radius_zero_ball():
     ball = cayley_ball(zd, zd.basis_generators(), 0)
     assert ball.vertex_count == 1
     assert ball.edge_count == 0
-    assert ball.boundary == (0,)
+    assert tuple(ball.boundary) == (0,)
 
 
 class _Delegate:
@@ -340,6 +364,21 @@ def test_forest_engine_rejects_cyclic_ball(z2_ball):
         z2_ball.forest_structure()
 
 
+def test_free_forest_structure_reads_the_stored_parents():
+    fm = FreeModel(2)
+    ball = cayley_ball(fm, fm.letter_generators(), 4)
+    parent, parent_edge, slices = ball.forest_structure()
+    assert np.shares_memory(parent, ball._store.parent)
+    # the checked build of the same ball through the breadth-first path
+    plain = cayley_ball(_Delegate(fm), fm.letter_generators(), 4)
+    want = plain.forest_structure()
+    assert np.array_equal(parent, want[0]) and parent.dtype == want[0].dtype
+    assert np.array_equal(parent_edge, want[1]) and parent_edge.dtype == want[1].dtype
+    assert slices == want[2]
+    i, j = ball.edges.T
+    assert np.array_equal(parent[j], i) and np.array_equal(parent_edge[j], np.arange(len(j)))
+
+
 def test_percolation_callables_take_no_engine():
     # the sweep kernel follows from the ball's shape, and the labeller is
     # the one union-find: neither is a parameter
@@ -481,15 +520,34 @@ def test_sweep_contraction_kernel_matches_unionfind(name):
     assert _contraction_counters(ball, grid, 25, 4, targets) == want
 
 
+def _assert_boundary_is_the_outer_level(ball):
+    assert isinstance(ball.boundary, range)
+    assert list(ball.boundary) == np.flatnonzero(ball.distances == ball.radius).tolist()
+    assert ball.boundary.stop == ball.vertex_count
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BALLS))
+def test_boundary_is_the_tail_at_distance_radius(name):
+    model, gens, radius, _ = KERNEL_BALLS[name]
+    _assert_boundary_is_the_outer_level(cayley_ball(model, gens, radius))
+    _assert_boundary_is_the_outer_level(cayley_ball(_Delegate(model), gens, radius))
+
+
 def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball, f2_ball):
     # an edge is open at p iff its uniform is < p, so one drawn exactly at
     # a grid point opens only at the points above it
-    from erglab import percolation
+    # every kernel and `percolate` draw through `IndexDraw.fill`, so the
+    # tied values are patched there, as a function of (seed, trial, index)
+    real_fill = IndexDraw.fill
+    callers = set()
 
-    def on_grid(seed, trial, n):
-        return np.random.default_rng([seed, trial]).choice([0.0, 0.3, 0.5, 0.7], n)
+    def on_grid(self, seed, trial, out):
+        callers.add(sys._getframe(1).f_code.co_name)
+        u = real_fill(self, seed, trial, np.empty(len(self.index)))
+        out[:] = np.array([0.0, 0.3, 0.5, 0.7])[(u * 4).astype(np.int64)]
+        return out
 
-    monkeypatch.setattr(percolation, "uniforms", on_grid)
+    monkeypatch.setattr(IndexDraw, "fill", on_grid)
     grid = [0.5, 0.0, 1.0, 0.5, 0.3, 0.7]
     for ball, targets in [
         (z2_ball, [(0, 0), (1, 0), (2, -1)]),
@@ -499,6 +557,7 @@ def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball,
         res = sweep(ball, grid, trials=15, seed=6, targets=targets)
         assert _row_counters(res.rows) == want
         assert _contraction_counters(ball, grid, 15, 6, targets) == want
+    assert {"_forest_chunk", "uniforms"} <= callers
 
 
 def test_sweep_matches_cluster_stats(z2_ball):
@@ -576,6 +635,18 @@ def test_dictionary_requires_free_action():
     action = FinAction(FinSpace(3), [("s", swap)], {"s": "s"})
     with pytest.raises(ValidationError, match="free"):
         action_to_percolation(action, {"s": [0, 1]}, r=1)
+
+
+def test_dictionary_balls_keep_the_boundary_as_the_tail():
+    action = six_point_action()
+    a1 = [0, 1, 3, 4]
+    a_sets = {"g": a1, "g_inv": [(x + 1) % 6 for x in a1]}
+    for r in (0, 1, 2, 3, 6):
+        rep = action_to_percolation(action, a_sets, r=r)
+        _assert_boundary_is_the_outer_level(rep.sample_ball)
+        _assert_boundary_is_the_outer_level(rep.full_ball)
+    # the full ball saturates before its radius: no vertex is at distance radius
+    assert len(rep.full_ball.boundary) == 0
 
 
 def test_dictionary_sample_ball_restriction():
@@ -782,3 +853,34 @@ def test_sweeps_and_configurations_never_decode_vertices(model, monkeypatch):
     expected = run()
     _refuse_decoding(monkeypatch)
     assert run() == expected
+
+
+_F2_R13_SWEEP = """
+import resource
+from erglab import FreeModel, cayley_ball, sweep
+f2 = FreeModel(2)
+ball = cayley_ball(f2, f2.letter_generators(), 13)
+sweep(ball, [0.3, 0.4], 2, 1, [(1,), (1, 2)])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# Peak RSS in MB of a fresh process that builds the F_2 radius-13 ball
+# (3,188,645 vertices) and sweeps it: about 316 MB with numpy 2.4 and
+# scipy 1.17 on Linux, where ru_maxrss counts kilobytes. The bound keeps
+# over 30% headroom; a kernel that holds a few more ball-sized arrays, a
+# boundary tuple or a second parent array per sweep goes past it.
+F2_R13_PEAK_MB = 430
+
+
+def test_f2_radius_13_sweep_stays_under_its_memory_bound():
+    src = str(Path(erglab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _F2_R13_SWEEP],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb < F2_R13_PEAK_MB
