@@ -16,15 +16,23 @@ class ValidationError(ValueError):
     """Malformed input: broken bijection, bad pairing, schema violation."""
 
 
+def _render_count(n: int) -> str:
+    """n in decimal, or "at least 2^k" past 100 bits: Python refuses to
+    convert an int of over 4300 digits to a string."""
+    return str(n) if n.bit_length() <= 100 else f"at least 2^{n.bit_length() - 1}"
+
+
 class CapExceeded(RuntimeError):
-    """An enumeration or materialization guard tripped."""
+    """An enumeration or materialization guard tripped. `needed` stays
+    exact; the message shortens a count too long to print."""
 
     def __init__(self, cap_name: str, needed: int, cap: int):
         self.cap_name = cap_name
         self.needed = needed
         self.cap = cap
         super().__init__(
-            f"cap '{cap_name}' exceeded: need {needed}, cap is {cap}"
+            f"cap '{cap_name}' exceeded: need {_render_count(needed)}, "
+            f"cap is {_render_count(cap)}"
         )
 
 

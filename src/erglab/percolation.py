@@ -25,6 +25,7 @@ give the counters that `cluster_stats` over `percolate` gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -190,7 +191,9 @@ class CayleyBall:
     The ball keeps its vertices in a store (`_VertexList`, `_FreeWords`
     or `_ZdCodes`) that finds a vertex's index and decodes the vertex
     elements. `vertices` is the tuple of those elements, decoded on its
-    first read; sweeps and configurations never read it.
+    first read; sweeps and configurations never read it. There is no
+    lookup from a vertex pair to its edge: `edges` is sorted, so callers
+    search it.
     """
 
     model: object
@@ -202,7 +205,6 @@ class CayleyBall:
     _store: object = field(repr=False)
     _vertices: tuple | None = field(default=None, repr=False)
     _forest: tuple | None = field(default=None, repr=False)
-    _edge_table: dict | None = field(default=None, repr=False)
 
     @property
     def vertices(self) -> tuple:
@@ -232,16 +234,6 @@ class CayleyBall:
 
     def is_tree(self) -> bool:
         return self.edge_count == self.vertex_count - 1
-
-    def edge_index(self, a: int, b: int) -> int:
-        if self._edge_table is None:
-            self._edge_table = {
-                (int(i), int(j)): e for e, (i, j) in enumerate(self.edges)
-            }
-        try:
-            return self._edge_table[(min(a, b), max(a, b))]
-        except KeyError:
-            raise ValidationError("no such edge in the ball") from None
 
     def forest_structure(self):
         """(parent, parent_edge, level_slices) arrays for tree balls.
@@ -959,7 +951,13 @@ def sweep(
 @dataclass(frozen=True)
 class PhiDictionary:
     """Exact translation of a free finite action with marked sets into
-    bond configurations on the Cayley graph of its closure."""
+    bond configurations on the Cayley graph of its closure.
+
+    `full_ball` is that whole graph and `sample_ball` its radius-r ball,
+    whose vertices are a prefix of the full ball's. configs[x] is point
+    x's full configuration restricted to the sample ball's edges, which
+    keep the full ball's edge order.
+    """
 
     sample_ball: CayleyBall
     full_ball: CayleyBall
@@ -968,29 +966,6 @@ class PhiDictionary:
     phi_values: dict
     cluster_probs: dict
     equivariance_triples: int
-
-
-def _edge_generators(ball: CayleyBall, q_labeled: Sequence[tuple[str, object]]):
-    """For each edge (i, j), a (base_vertex, label) pair with
-    label * vertices[base] == vertices[other]."""
-    out = []
-    for i, j in ball.edges:
-        found = None
-        for lab, s in q_labeled:
-            if ball.model.key(ball.model.mul(s, ball.vertices[i])) == ball.model.key(
-                ball.vertices[j]
-            ):
-                found = (int(i), lab)
-                break
-            if ball.model.key(ball.model.mul(s, ball.vertices[j])) == ball.model.key(
-                ball.vertices[i]
-            ):
-                found = (int(j), lab)
-                break
-        if found is None:
-            raise CheckFailed("edge without a generator decomposition")
-        out.append(found)
-    return out
 
 
 def action_to_percolation(
@@ -1006,17 +981,29 @@ def action_to_percolation(
     the translation under right multiplication, and equality of the
     capture value of every closure element with the probability that
     its vertex joins the identity cluster.
+
+    The full ball fixes the vertex and edge order; the rest is read off
+    the closure tables (`closure_images`, `product_table`). The sample
+    configurations are the full ones restricted to the radius-r ball.
     """
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValidationError(f"radius must be an integer, not {r!r}")
     m = action.space.size
     labels = action.labels
     if set(a_sets) != set(labels):
         raise ValidationError("marked sets must be keyed by the generator labels")
     sets = {}
     for lab in labels:
-        pts = set(int(v) for v in a_sets[lab])
-        if not pts <= set(range(m)):
+        try:
+            pts = list(a_sets[lab])
+        except TypeError:
+            raise ValidationError(f"marked set of {lab!r} is not a collection of points") from None
+        for v in pts:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValidationError(f"marked set of {lab!r} holds {v!r}, not a point index")
+        sets[lab] = {int(v) for v in pts}
+        if not sets[lab] <= set(range(m)):
             raise ValidationError(f"marked set of {lab!r} leaves the space")
-        sets[lab] = pts
     for lab in labels:
         inv_lab = action.inverses[lab]
         g = action.generator(lab)
@@ -1030,81 +1017,71 @@ def action_to_percolation(
             f"closure element {fixer.name} fixes a point; the dictionary needs a free action"
         )
     closure = action.closure()
+    qs = [action.generator(lab) for lab in labels]
     seen_perms = {}
-    q_labeled = []
-    for lab in labels:
-        g = action.generator(lab)
+    for lab, g in zip(labels, qs):
         if g.images in seen_perms:
             raise ValidationError(
                 f"generators {seen_perms[g.images]!r} and {lab!r} coincide"
             )
         seen_perms[g.images] = lab
-        q_labeled.append((lab, g))
 
     model = PermGroupModel(m)
-    qs = [g for _, g in q_labeled]
     full_ball = cayley_ball(model, qs, len(closure))
     if full_ball.vertex_count != len(closure):
         raise CheckFailed("closure graph does not cover the closure")
     sample_ball = full_ball if r >= full_ball.radius else cayley_ball(model, qs, r)
+    e_rel = EqRel.from_pairs(m, [(x, g(x)) for lab, g in zip(labels, qs) for x in sets[lab]])
 
-    pairs = []
-    for lab in labels:
-        g = action.generator(lab)
-        pairs.extend((x, g(x)) for x in sets[lab])
-    e_rel = EqRel.from_pairs(m, pairs)
+    images, products = action.closure_images(), action.product_table()
+    # closure element k is ball vertex pos[k], and vertex v is element at[v]
+    pos = np.array([full_ball.index_of(e.perm) for e in closure], dtype=np.intp)
+    at = np.argsort(pos)
+    # edge (v, w) joins a = at[v] to b = s a for s = b a^-1, a generator
+    # (the identity is element 0)
+    ends = at[full_ball.edges]
+    a, b = ends.T
+    s = products[b, np.argmin(products, axis=1)[a]]
+    gens = at[[full_ball.index_of(g) for g in qs]]
+    if not np.isin(s, gens).all():
+        raise CheckFailed("edge without a generator decomposition")
+    marks = np.zeros((len(closure), m), dtype=bool)  # row s holds A_s
+    for k, lab in zip(gens, labels):
+        marks[k, sorted(sets[lab])] = True
+    # bits[x, e] says a(x) lies in A_s; b(x) in A_(s^-1) is the same bit,
+    # as the marked sets are compatible
+    bits = marks[s, images[a].T]
 
-    full_dec = _edge_generators(full_ball, q_labeled)
+    keep = full_ball.edges[:, 1] < sample_ball.vertex_count
+    if not np.array_equal(full_ball.edges[keep], sample_ball.edges):
+        raise CheckFailed("sample ball is not a prefix of the closure graph")
+    configs = tuple(bits[:, keep])
 
-    def config_on(ball, dec, x):
-        bits = np.zeros(len(dec), dtype=bool)
-        for e, (base, lab) in enumerate(dec):
-            if ball.vertices[base](x) in sets[lab]:
-                bits[e] = True
-        return bits
-
-    full_configs = tuple(config_on(full_ball, full_dec, x) for x in range(m))
-    if sample_ball is full_ball:
-        configs = full_configs
-    else:
-        sample_dec = _edge_generators(sample_ball, q_labeled)
-        configs = tuple(config_on(sample_ball, sample_dec, x) for x in range(m))
-
-    # equivariance under right translation on the full graph
+    # equivariance under right translation: element k moves vertex v to
+    # pos[products[at[v], k]]; the edges are sorted, so are their codes
+    n = full_ball.vertex_count
+    codes = full_ball.edges @ (n, 1)
     triples = 0
-    for elem in closure:
-        g = elem.perm
-        moved = np.array(
-            [
-                full_ball.edge_index(
-                    full_ball.index_of(full_ball.vertices[i] * g),
-                    full_ball.index_of(full_ball.vertices[j] * g),
-                )
-                for i, j in full_ball.edges
-            ],
-            dtype=np.int64,
-        ).reshape(-1)
-        for x in range(m):
-            if not np.array_equal(full_configs[g(x)], full_configs[x][moved]):
-                raise CheckFailed(
-                    f"translation by {elem.name} breaks equivariance at point {x}"
-                )
-            triples += 1
+    for k, elem in enumerate(closure):
+        moved_codes = np.sort(pos[products[ends, k]], axis=1) @ (n, 1)
+        moved = np.searchsorted(codes, moved_codes)
+        if not np.array_equal(codes.take(moved, mode="clip"), moved_codes):
+            raise CheckFailed(f"translation by {elem.name} moves an edge off the closure graph")
+        bad = np.flatnonzero((bits[images[k]] != bits[:, moved]).any(axis=1))
+        if bad.size:
+            raise CheckFailed(
+                f"translation by {elem.name} breaks equivariance at point {bad[0]}"
+            )
+        triples += m
 
     # capture value = cluster probability, element by element
-    ident_idx = full_ball.index_of(Perm.identity(m))
-    phi_values = {}
-    cluster_probs = {}
-    counts = {e.name: 0 for e in closure}
+    counts = np.zeros(len(closure), dtype=np.int64)
     for x in range(m):
-        cluster = _unionfind_labels(full_ball, full_configs[x])
-        root = cluster[ident_idx]
-        for e in closure:
-            if cluster[full_ball.index_of(e.perm)] == root:
-                counts[e.name] += 1
+        cluster = _unionfind_labels(full_ball, bits[x])[pos]
+        counts += cluster == cluster[0]  # element 0 is the identity
+    phi_values = {e.name: phi(e_rel, e.perm) for e in closure}
+    cluster_probs = {e.name: Fraction(c, m) for e, c in zip(closure, counts.tolist())}
     for e in closure:
-        phi_values[e.name] = phi(e_rel, e.perm)
-        cluster_probs[e.name] = Fraction(counts[e.name], m)
         if phi_values[e.name] != cluster_probs[e.name]:
             raise CheckFailed(
                 f"capture value and cluster probability disagree at {e.name}"

@@ -2,12 +2,19 @@
 
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import erglab
 from erglab import (
     SUITE_NAMES,
+    CapExceeded,
     FreeModel,
     SuiteResult,
     ValidationError,
@@ -536,6 +543,63 @@ def test_orbit_unions_cap_bounds_the_thm33_sets(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert time.perf_counter() - start < 5
     assert "cap 'orbit_unions' exceeded: need 65536, cap is 4096" in capsys.readouterr().err
+
+
+# Each of these must trip a cap before the work grows: exit 1 within
+# CAP_EXIT_SECONDS, interpreter start included.
+CAP_TRIPPING_ARGV = {
+    "f2_radius_40": ("percolate", "--model", "f2", "--radius", "40", "--p", "0.5"),
+    "z2_radius_100000": ("sweep", "--model", "z2", "--radius", "100000", "--grid", "0.5"),
+    "zd3_radius_100000": ("percolate", "--model", "zd:3", "--radius", "100000", "--p", "0.5"),
+    "prop11_size_100000": ("verify", "--suite", "prop11", "--count", "1", "--size", "100000"),
+}
+CAP_EXIT_SECONDS = 10
+
+
+def _run_cli_process(argv) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a fresh interpreter with the default caps."""
+    src = str(Path(erglab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ERGLAB_CAPS", None)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "erglab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=CAP_EXIT_SECONDS,
+    )
+    return done, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name", list(CAP_TRIPPING_ARGV))
+def test_cap_tripping_inputs_exit_fast(name):
+    done, elapsed = _run_cli_process(CAP_TRIPPING_ARGV[name])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cap '")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert elapsed < CAP_EXIT_SECONDS
+
+
+def test_a_count_too_long_to_print_still_exits_one():
+    # the full group of a 100000-point relation has more than 4300 digits
+    done, _ = _run_cli_process(CAP_TRIPPING_ARGV["prop11_size_100000"])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cap 'full_group' exceeded: need at least 2^")
+    assert "Traceback" not in done.stderr
+
+
+def test_cap_message_keeps_the_count_exact():
+    needed = math.factorial(2000)  # 5736 digits
+    exc = CapExceeded("full_group", needed, 20000)
+    assert exc.needed == needed and exc.cap == 20000
+    k = needed.bit_length() - 1
+    assert str(exc) == f"cap 'full_group' exceeded: need at least 2^{k}, cap is 20000"
+    short = 2**100 - 1
+    assert str(CapExceeded("ball", short, 7)) == f"cap 'ball' exceeded: need {short}, cap is 7"
+    assert str(CapExceeded("ball", 2**100, 7)) == "cap 'ball' exceeded: need at least 2^100, cap is 7"
+
 
 def test_check_failures_exit_two(tmp_path, six, monkeypatch):
     from erglab import cli as cli_mod

@@ -2,6 +2,7 @@
 exact action/configuration dictionary, and word-length scales."""
 
 import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 import erglab
 from erglab import (
     CapExceeded,
+    CheckFailed,
     FinAction,
     FinSpace,
     FreeModel,
@@ -30,8 +32,10 @@ from erglab import (
     cluster_stats,
     length_function,
     percolate,
+    phi,
     sweep,
 )
+from erglab import percolation
 from erglab.percolation import _contract_chunk, _FreeWords, _ZdCodes
 from erglab.rng import GOLDEN, MASK64, IndexDraw, mix64, stream_key, uniform_at, uniforms
 
@@ -686,6 +690,138 @@ def test_dictionary_random_instances():
             a_sets = {"g": a1, "g_inv": [g(x) for x in a1]}
         rep = action_to_percolation(action, a_sets, r=2)
         assert rep.cluster_probs == rep.phi_values
+
+
+def _regular_action(elements, mul, gens, inverses) -> FinAction:
+    """The left regular action of a group given by its element list and
+    product, on the indices of `elements`."""
+    index = {e: i for i, e in enumerate(elements)}
+    perms = [
+        (lab, Perm(tuple(index[mul(g, h)] for h in elements))) for lab, g in gens
+    ]
+    return FinAction(FinSpace(len(elements)), perms, inverses)
+
+
+def regular_s3() -> FinAction:
+    # S_3 as image tuples of three points; (a * b)(i) = a(b(i))
+    elements = sorted(itertools.permutations(range(3)))
+    return _regular_action(
+        elements,
+        lambda a, b: tuple(a[b[i]] for i in range(3)),
+        [("t", (1, 0, 2)), ("c", (1, 2, 0)), ("c_inv", (2, 0, 1))],
+        {"t": "t", "c": "c_inv", "c_inv": "c"},
+    )
+
+
+def regular_klein() -> FinAction:
+    # Z_2 x Z_2 as 2-bit integers under xor: two commuting involutions
+    return _regular_action(
+        [0, 1, 2, 3], lambda a, b: a ^ b, [("a", 1), ("b", 2)], {"a": "a", "b": "b"}
+    )
+
+
+def random_marked_sets(action: FinAction, rng: random.Random) -> dict:
+    """A random compatible family: A_s at random and A_(s^-1) = s(A_s); a
+    self-paired s gets a union of its 2-cycles."""
+    sets: dict = {}
+    for lab in action.labels:
+        if lab in sets:
+            continue
+        g, inv = action.generator(lab), action.inverses[lab]
+        if inv == lab:
+            marked = set()
+            for x in range(action.space.size):
+                if x <= g(x) and rng.random() < 0.5:
+                    marked |= {x, g(x)}
+        else:
+            marked = set(rng.sample(range(action.space.size), rng.randrange(action.space.size + 1)))
+        sets[lab] = sorted(marked)
+        sets[inv] = sorted(g(x) for x in marked)
+    return sets
+
+
+def brute_force_configs(ball, action: FinAction, a_sets: dict) -> list:
+    """Per point x, the configuration on `ball` read edge by edge: find a
+    label s with s * v == w (base v) or s * w == v (base w) by permutation
+    products, and open the edge iff base(x) lies in A_s."""
+    decomposition = []
+    for i, j in ball.edges.tolist():
+        v, w = ball.vertices[i], ball.vertices[j]
+        found = None
+        for lab in action.labels:
+            s = action.generator(lab)
+            if s * v == w:
+                found = (v, lab)
+            elif s * w == v:
+                found = (w, lab)
+            if found:
+                break
+        assert found is not None, "edge without a generator"
+        decomposition.append(found)
+    return [
+        [base(x) in a_sets[lab] for base, lab in decomposition]
+        for x in range(action.space.size)
+    ]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 6])
+@pytest.mark.parametrize("make", [regular_s3, regular_klein, six_point_action])
+def test_dictionary_matches_the_brute_force_oracle(make, r):
+    action = make()
+    rng = random.Random(f"{make.__name__}-{r}")
+    closure = action.closure()
+    m = action.space.size
+    for _ in range(12):
+        a_sets = random_marked_sets(action, rng)
+        rep = action_to_percolation(action, a_sets, r=r)
+        oracle = brute_force_configs(rep.sample_ball, action, a_sets)
+        assert [bits.tolist() for bits in rep.configs] == oracle
+        assert rep.sample_ball.radius == min(r, rep.full_ball.radius)
+        assert rep.cluster_probs == rep.phi_values
+        assert rep.phi_values == {e.name: phi(rep.e_rel, e.perm) for e in closure}
+        assert rep.equivariance_triples == len(closure) * m
+    # the full ball is the whole closure graph, and the radius-r ball its prefix
+    assert rep.full_ball.vertex_count == len(closure)
+    sample = rep.sample_ball
+    keep = rep.full_ball.edges[:, 1] < sample.vertex_count
+    assert np.array_equal(rep.full_ball.edges[keep], sample.edges)
+    assert np.array_equal(rep.full_ball.distances[: sample.vertex_count], sample.distances)
+
+
+def test_dictionary_reports_a_wrong_capture_value(monkeypatch):
+    action = regular_s3()
+    a_sets = random_marked_sets(action, random.Random(3))
+    monkeypatch.setattr(percolation, "phi", lambda rel, s: Fraction(-1))
+    with pytest.raises(CheckFailed, match="capture value and cluster probability disagree at 1"):
+        action_to_percolation(action, a_sets, r=1)
+
+
+@pytest.mark.parametrize(
+    "a_sets, r, message",
+    [
+        ({"g": [0.5], "g_inv": [1]}, 1, r"marked set of 'g' holds 0.5, not a point index"),
+        ({"g": [True], "g_inv": [1]}, 1, r"marked set of 'g' holds True, not a point index"),
+        ({"g": ["0"], "g_inv": [1]}, 1, r"marked set of 'g' holds '0', not a point index"),
+        ({"g": [0], "g_inv": ["a"]}, 1, r"marked set of 'g_inv' holds 'a', not a point index"),
+        ({"g": 0, "g_inv": [1]}, 1, r"marked set of 'g' is not a collection of points"),
+        ({"g": [0], "g_inv": None}, 1, r"marked set of 'g_inv' is not a collection of points"),
+        ({"g": [6], "g_inv": [1]}, 1, r"marked set of 'g' leaves the space"),
+        ({"g": [0], "g_inv": [1]}, 1.5, r"radius must be an integer, not 1.5"),
+        ({"g": [0], "g_inv": [1]}, True, r"radius must be an integer, not True"),
+        ({"g": [0], "g_inv": [1]}, "1", r"radius must be an integer, not '1'"),
+        ({"g": [0], "g_inv": [1]}, -1, r"radius must be non-negative"),
+    ],
+)
+def test_dictionary_refuses_malformed_input(a_sets, r, message):
+    with pytest.raises(ValidationError, match=message):
+        action_to_percolation(six_point_action(), a_sets, r)
+
+
+def test_dictionary_takes_numpy_points_and_radius():
+    a_sets = {"g": np.array([0, 1]), "g_inv": np.array([1, 2])}
+    rep = action_to_percolation(six_point_action(), a_sets, np.int64(1))
+    assert rep.sample_ball.radius == 1
+    assert rep.cluster_probs == rep.phi_values
 
 
 # -- word-length scales ---------------------------------------------------------------------
