@@ -68,12 +68,14 @@ def _model(text: str):
     try:
         if kind == "zd":
             model = ZdModel(int(arg))
-            # any ball past radius 0 holds the 2d + 1 points of radius 1;
-            # refuse a rank past the ball cap before 2d generators of
-            # length d are built
+            # any ball past radius 0 holds the 2d + 1 points of radius 1,
+            # and every report renders the 2d generators of length d;
+            # refuse a rank past the ball cap on either count before the
+            # generators are built
             capn = get_cap("ball")
-            if 2 * model.d + 1 > capn:
-                raise CapExceeded("ball", 2 * model.d + 1, capn)
+            need = max(2 * model.d + 1, 2 * model.d * model.d)
+            if need > capn:
+                raise CapExceeded("ball", need, capn)
             return model, model.basis_generators()
         if kind == "free":
             model = FreeModel(int(arg))

@@ -6,11 +6,13 @@ a name. Balls use the left Cayley graph (edges {v, sv} for generators
 s) so that right translation acts on configurations; the dictionary
 checks depend on that orientation.
 
-Balls over the standard generators of Z^d and of free groups are built
-and kept on arrays (mixed-radix point codes; free words as parent index
-and first letter), and their vertex tuples are decoded only when
+Balls over the standard generators of Z^d (at any rank) and of free
+groups are built level by level and kept on arrays (mixed-radix point
+codes, int64 or Python ints; free words as parent index and first
+letter), and their vertex tuples are decoded only when
 `CayleyBall.vertices` is read; other generating sets use a generic
-breadth-first search. Both give the same vertex order.
+breadth-first search, which is also the tests' oracle for the array
+builds. Both give the same vertex order.
 
 Clusters have one reference labeller: `cluster_labels` reads min-member
 labels off the union-find (`EqRel.from_pairs`), and `cluster_stats`
@@ -332,21 +334,20 @@ class _FreeWords:
 
 class _ZdCodes:
     """Points of a Z^d ball stored as mixed-radix codes: x in [-r, r]^d has
-    the code sum_i (x_i + r) (2r+1)^(d-1-i), whose order is the
-    lexicographic order of x. Level k holds the indices
-    starts[k]..starts[k+1]-1 and is sorted by code.
+    the code sum_i (x_i + r) weight[i], with weight[i] = (2r+1)^(d-1-i),
+    whose order is the lexicographic order of x. Codes and weights are
+    int64 when (2r+1)^d fits, else Python ints in object arrays. Level k
+    holds the indices starts[k]..starts[k+1]-1 and is sorted by code.
     """
 
-    def __init__(self, codes: np.ndarray, d: int, r: int, starts: list):
+    def __init__(self, codes: np.ndarray, weight: np.ndarray, r: int, starts: list):
         self.codes = codes
-        self.d = d
+        self.weight = weight
         self.r = r
         self.starts = starts
 
     def decode(self) -> tuple:
-        base = 2 * self.r + 1
-        weight = base ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        coords = self.codes[:, None] // weight % base - self.r
+        coords = self.codes[:, None] // self.weight % (2 * self.r + 1) - self.r
         return tuple(map(tuple, coords.tolist()))
 
     def index(self, key) -> int:
@@ -357,11 +358,9 @@ class _ZdCodes:
         norm = sum(map(abs, x))
         # a norm of at most r also puts x in the box [-r, r]^d, where codes
         # are one to one; outside it a code can name an inside point
-        if len(x) != self.d or x != list(key) or norm > self.r:
+        if len(x) != len(self.weight) or x != list(key) or norm > self.r:
             raise ValidationError("target outside ball")
-        code = 0
-        for c in x:
-            code = code * (2 * self.r + 1) + c + self.r
+        code = sum((c + self.r) * w for c, w in zip(x, self.weight.tolist()))
         lo, hi = self.starts[norm], self.starts[norm + 1]
         j = lo + int(np.searchsorted(self.codes[lo:hi], code))
         if j == hi or self.codes[j] != code:
@@ -418,11 +417,13 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
 
     q is closed under inversion automatically; vertex order is
     (distance, canonical key), deterministic across runs. The standard
-    generators of Z^d and of free groups take array-built fast paths
-    (`_zd_ball`, `_free_ball`) that give the same ball; they store
+    generators of Z^d (at every rank) and of free groups take array
+    builds (`_zd_ball`, `_free_ball`) that give the same ball; they store
     vertices as arrays, so `index_of` is an array search and `vertices`
-    is decoded on its first read. Other balls list their vertex elements
-    and index them by key.
+    is decoded on its first read. Other generating sets (the public
+    `PermGroupModel` and `ProductModel`, or non-standard generators) take
+    the breadth-first search, which lists the vertex elements and indexes
+    them by key; no `erglab percolate` or `sweep` model reaches it.
     """
     if r < 0:
         raise ValidationError("radius must be non-negative")
@@ -433,10 +434,9 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
         return _free_ball(model, qc, r, capn)
     if kind == "zd":
         # the size is known in closed form: check the cap before anything
-        # grows with r, on either path
+        # grows with r
         _check_ball_cap(_zd_ball_size(model.d, r), capn)
-        if (2 * r + 1) ** model.d <= 2**63:
-            return _zd_ball(model, qc, r)
+        return _zd_ball(model, qc, r)
     ident = model.identity()
     vertices = [ident]
     dist = {model.key(ident): 0}
@@ -488,54 +488,48 @@ def _zd_ball_size(d: int, r: int) -> int:
 
 
 def _zd_ball(model: ZdModel, qc: list, r: int) -> CayleyBall:
-    """Fast path for the standard generators of Z^d, on coordinate arrays.
+    """Array build for the standard generators of Z^d, level by level.
 
     Points are stored as their mixed-radix codes (`_ZdCodes`) and decoded
-    to d-tuples only when `vertices` is read; the caller checks the cap
-    and that (2r+1)^d fits in int64. Level k is the set of outward steps
-    from level k-1, deduplicated by sorting codes, so vertices come in
-    (distance, key) order. Edges are {v, v + e_i}, found by searching the
-    code of v + e_i among the ball's codes.
+    to d-tuples only when `vertices` is read; the caller checks the cap.
+    Level k is the set of outward steps from level k-1 (the steps that
+    raise the L1 norm), deduplicated by sorting codes, so vertices come in
+    (distance, key) order. Every edge joins norms k-1 and k and is the
+    outward step from its lower end, so the steps are the edges. They are
+    taken point by point and, per point, in increasing code, so the edge
+    rows come out sorted.
     """
-    d = model.d
-    sizes = np.diff([0] + [_zd_ball_size(d, k) for k in range(r + 1)])
-    base = 2 * r + 1
-    weight = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    levels = [np.array([(base**d - 1) // 2], dtype=np.int64)]  # every digit r
-    for _ in range(1, r + 1):
-        prev = levels[-1]
-        x = prev[:, None] // weight % base - r
-        steps = [
-            prev[sign * x[:, i] >= 0] + sign * weight[i]
-            for i in range(d)
-            for sign in (1, -1)
-        ]
-        levels.append(np.unique(np.concatenate(steps)))
-    codes = np.concatenate(levels)
-    n = len(codes)
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    a, b = [], []
-    for i in range(d):
-        # where x_i = r the code carries into the next digit; the point it
-        # then names has L1 norm r + 1, so the search never finds it
-        nb = codes + weight[i]
-        pos = np.minimum(np.searchsorted(sorted_codes, nb), n - 1)
-        hit = sorted_codes[pos] == nb
-        a.append(np.flatnonzero(hit))
-        b.append(by_code[pos[hit]])
-    a, b = np.concatenate(a), np.concatenate(b)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.lexsort((hi, lo))
-    starts = np.cumsum([0, *sizes]).tolist()
+    d, base = model.d, 2 * r + 1
+    dtype = np.int64 if base**d <= 2**63 else object
+    weight = np.array([base ** (d - 1 - i) for i in range(d)], dtype=dtype)
+    # the 2d steps -e_0, ..., -e_{d-1}, e_{d-1}, ..., e_0, in increasing code
+    step_weight = np.concatenate([weight, weight[::-1]])
+    signs = np.repeat([-1, 1], d)
+    offsets = signs * step_weight
+    levels = [np.array([(base**d - 1) // 2], dtype=dtype)]  # every digit r
+    outward = [np.empty((0, 2 * d), dtype=bool)]
+    highs = [np.empty(0, dtype=np.int64)]
+    n = 1
+    for _ in range(r):
+        prev = levels[-1][:, None]
+        # the step sign * e_i raises the norm where sign * x_i >= 0
+        outward.append((prev // step_weight % base - r) * signs >= 0)
+        steps = (prev + offsets)[outward[-1]]
+        s = np.sort(steps)
+        levels.append(s[np.concatenate(([True], s[1:] != s[:-1]))])
+        highs.append(np.searchsorted(levels[-1], steps) + n)
+        n += len(levels[-1])
+    # row v of the stacked masks belongs to vertex v: each step's lower end
+    lows = np.nonzero(np.concatenate(outward))[0]
+    sizes = [len(level) for level in levels]
     return CayleyBall(
         model=model,
         q=tuple(qc),
         radius=r,
         distances=np.repeat(np.arange(r + 1, dtype=np.int64), sizes),
-        edges=np.stack([lo[order], hi[order]], axis=1),
+        edges=np.stack([lows, np.concatenate(highs)], axis=1),
         boundary=range(n - sizes[-1], n),
-        _store=_ZdCodes(codes, d, r, starts),
+        _store=_ZdCodes(np.concatenate(levels), weight, r, np.cumsum([0, *sizes]).tolist()),
     )
 
 

@@ -60,13 +60,13 @@ class ChoiceSystem:
         self._choices = choices
         strata = []
         slots: list[dict[int, int]] = []
+        wants = [{e_rel.class_id(y) for y in c} for c in f_rel.classes]
         for x in range(m):
             row = choices[x]
             if row[0] != x:
                 raise ValidationError(f"choice 0 at {x} must be {x}, got {row[0]}")
             hit = {e_rel.class_id(y) for y in row}
-            want = {e_rel.class_id(y) for y in f_rel.class_of(x)}
-            if len(hit) != len(row) or hit != want:
+            if len(hit) != len(row) or hit != wants[f_rel.class_id(x)]:
                 raise ValidationError(
                     f"choices at {x} do not traverse the classes of its ambient class"
                 )
@@ -125,18 +125,16 @@ def choice_functions(
         raise ValidationError("every class of the finer relation must sit inside one ambient class")
     if convention not in ("min_up", "max_down"):
         raise ValidationError(f"unknown convention {convention!r}")
-    choices = []
-    for x in range(e_rel.size):
-        ids = sorted({e_rel.class_id(y) for y in f_rel.class_of(x)})
-        pos = ids.index(e_rel.class_id(x))
+    pick, step = (min, 1) if convention == "min_up" else (max, -1)
+    choices: list = [None] * e_rel.size
+    for c in f_rel.classes:
+        ids = sorted({e_rel.class_id(y) for y in c})
+        reps = [pick(e_rel.classes[i]) for i in ids]
+        pos = {i: k for k, i in enumerate(ids)}
         n_cls = len(ids)
-        if convention == "min_up":
-            rot = [ids[(pos + t) % n_cls] for t in range(n_cls)]
-            reps = [x] + [min(e_rel.classes[c]) for c in rot[1:]]
-        else:
-            rot = [ids[(pos - t) % n_cls] for t in range(n_cls)]
-            reps = [x] + [max(e_rel.classes[c]) for c in rot[1:]]
-        choices.append(tuple(reps))
+        for x in c:
+            k = pos[e_rel.class_id(x)]
+            choices[x] = (x, *(reps[(k + step * t) % n_cls] for t in range(1, n_cls)))
     return ChoiceSystem(e_rel, f_rel, convention, tuple(choices))
 
 

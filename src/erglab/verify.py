@@ -154,8 +154,9 @@ def suite_cocycle(count: int = 30, size: int = 8, seed: int = 0) -> SuiteResult:
             cs = choice_functions(e_rel, f_rel)
             s = sample_full_group(f_rel, rng)
             t = sample_full_group(f_rel, rng)
+            st = s * t
             ok = all(
-                sigma(cs, s * t, x) == sigma(cs, s, t(x)) * sigma(cs, t, x)
+                sigma(cs, st, x) == sigma(cs, s, t(x)) * sigma(cs, t, x)
                 for x in range(f_rel.size)
             )
             if not ok:

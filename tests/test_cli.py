@@ -427,9 +427,11 @@ def test_malformed_flag_values_are_validation_exits(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("rank", ["3000000", "99999999"])
+@pytest.mark.parametrize("rank", ["1415", "100000", "1999999", "3000000", "99999999"])
 def test_huge_zd_rank_exits_on_the_ball_cap(capsys, rank):
-    # refused before the 2d generators of length d are built
+    # refused before the 2d generators of length d are built: their 2d^2
+    # coordinates count against the ball cap, so rank 1415 is the first
+    # refused at the default
     start = time.perf_counter()
     assert main(["percolate", "--model", f"zd:{rank}", "--radius", "1", "--p", "0.5"]) == 1
     assert time.perf_counter() - start < 2
@@ -555,6 +557,14 @@ CAP_TRIPPING_ARGV = {
 }
 CAP_EXIT_SECONDS = 10
 
+# Each of these sits just under a cap or at a rank where Z^d codes leave
+# int64: exit 0 within CAP_EXIT_SECONDS, interpreter start included.
+MUST_FINISH_ARGV = {
+    "zd500_radius_1": ("percolate", "--model", "zd:500", "--radius", "1", "--p", "0.5"),
+    "zd1414_radius_1": ("percolate", "--model", "zd:1414", "--radius", "1", "--p", "0.5"),
+    "zd40_radius_2": ("sweep", "--model", "zd:40", "--radius", "2", "--grid", "0.5"),
+}
+
 
 def _run_cli_process(argv) -> tuple[subprocess.CompletedProcess, float]:
     """Run the CLI in a fresh interpreter with the default caps."""
@@ -579,6 +589,14 @@ def test_cap_tripping_inputs_exit_fast(name):
     assert done.stderr.startswith("error: cap '")
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+    assert elapsed < CAP_EXIT_SECONDS
+
+
+@pytest.mark.parametrize("name", list(MUST_FINISH_ARGV))
+def test_high_rank_lattices_finish_fast(name):
+    done, elapsed = _run_cli_process(MUST_FINISH_ARGV[name])
+    assert done.returncode == 0
+    assert done.stderr == ""
     assert elapsed < CAP_EXIT_SECONDS
 
 

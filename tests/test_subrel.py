@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,41 @@ def test_choice_functions_first_slot_is_identity():
             assert {e.class_id(y) for y in row} == {
                 e.class_id(y) for y in f.class_of(x)
             }
+
+
+def _reference_choices(e: EqRel, f: EqRel, convention: str) -> list[tuple[int, ...]]:
+    """Each point's row built on its own: the sorted E-class ids of its
+    ambient class, rotated to its own class, each named by its minimum
+    (min_up, walking up) or maximum (max_down, walking down)."""
+    pick, step = (min, 1) if convention == "min_up" else (max, -1)
+    rows = []
+    for x in range(e.size):
+        ids = sorted({e.class_id(y) for y in f.class_of(x)})
+        pos = ids.index(e.class_id(x))
+        rest = (pick(e.classes[ids[(pos + step * t) % len(ids)]]) for t in range(1, len(ids)))
+        rows.append((x, *rest))
+    return rows
+
+
+def test_choice_functions_match_the_per_point_reference():
+    rng = random.Random(5)
+    for _ in range(30):
+        e, f = random_nested_pair(rng, rng.randint(1, 12))
+        for convention in ("min_up", "max_down"):
+            cs = choice_functions(e, f, convention)
+            assert [cs.choices_at(x) for x in range(e.size)] == _reference_choices(e, f, convention)
+
+
+def test_choice_functions_on_one_large_ambient_class():
+    # the per-class work is done once per ambient class, not once per point
+    m = 20000
+    e = EqRel(m, [range(0, m, 2), range(1, m, 2)])
+    start = time.perf_counter()
+    cs = choice_functions(e, EqRel.full(m))
+    assert time.perf_counter() - start < 5
+    assert cs.choices_at(0) == (0, 1)
+    assert cs.choices_at(m - 1) == (m - 1, 0)
+    assert cs.strata == (2,) * m
 
 
 def test_choice_functions_rejects_non_nested():
