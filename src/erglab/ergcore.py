@@ -9,11 +9,12 @@ of positive and negative definite kernels, the weak metric, and cost.
 The hot exact kernels count in integers and build one `Fraction` per
 reported value. A full group or an action's closure is an (N, m) numpy
 image table (`full_group_table`, `FinAction.closure_images`), the
-closure's multiplication table is an N x N index array
-(`FinAction.product_table`), and `hit_counts` gives phi or the
-agreement with a fixed permutation for every row at once, as a count
-over m. `gram_check` runs its LDL^T fraction-free (Bareiss) on the
-matrix scaled to integers, with one `Fraction` per pivot.
+closure's multiplication table is an N x N index array gathered from
+the closure search's generator steps (`FinAction.product_table`), and
+`hit_counts` gives phi or the agreement with a fixed permutation for
+every row at once, as a count over m. `gram_check` runs its LDL^T
+fraction-free (Bareiss) on the matrix scaled to integers, with one
+`Fraction` per pivot.
 """
 
 from __future__ import annotations
@@ -410,6 +411,7 @@ class FinAction:
         self._by_name: dict[str, GroupElement] = {}
         self._by_images: dict[tuple[int, ...], GroupElement] = {}
         self._images: np.ndarray | None = None
+        self._steps: list[list[int]] = []
         self._products: np.ndarray | None = None
 
     @property
@@ -441,41 +443,36 @@ class FinAction:
                 raise CapExceeded("closure", cap + 1, cap)
             return self._closure
         capn = get_cap("closure", cap)
-        m = self.space.size
-        ident = Perm.identity(m)
-        seen: dict[tuple[int, ...], tuple[Perm, tuple[str, ...]]] = {
-            ident.images: (ident, ())
-        }
-        queue: list[Perm] = [ident]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            cur_word = seen[cur.images][1]
-            for lab, g in self.gens:
+        ident = Perm.identity(self.space.size)
+        index = {ident.images: 0}
+        queue, words = [ident], [()]
+        steps: list[list[int]] = [[] for _ in self.gens]  # steps[s][i]: index of g_s * e_i
+        for head, cur in enumerate(queue):  # the queue grows as it is read
+            for (lab, g), row in zip(self.gens, steps):
                 nxt = g * cur
-                if nxt.images in seen:
-                    continue
-                if len(seen) + 1 > capn:
-                    raise CapExceeded("closure", len(seen) + 1, capn)
-                seen[nxt.images] = (nxt, cur_word + (lab,))
-                queue.append(nxt)
+                k = index.get(nxt.images)
+                if k is None:
+                    if len(queue) + 1 > capn:
+                        raise CapExceeded("closure", len(queue) + 1, capn)
+                    k = index[nxt.images] = len(queue)
+                    queue.append(nxt)
+                    words.append(words[head] + (lab,))
+                row.append(k)
         if self._is_single_pair():
-            base_lab = self.labels[0]
-            g = self._by_label[base_lab]
-            elems = []
-            p = ident
-            for k in range(len(seen)):
-                elems.append(GroupElement(f"{base_lab}^{k}", p, (base_lab,) * k))
-                p = g * p
+            lab = self.labels[0]
+            # the search index of each power: g^(k+1) is g_0 * g^k
+            bfs = [0]
+            for _ in queue[1:]:
+                bfs.append(steps[0][bfs[-1]])
+            power = {i: k for k, i in enumerate(bfs)}
+            if len(power) != len(bfs):
+                raise CheckFailed("single-pair closure is not cyclic")
+            elems = [GroupElement(f"{lab}^{k}", queue[i], (lab,) * k) for k, i in enumerate(bfs)]
+            steps = [[power[row[i]] for i in bfs] for row in steps]  # in power order
         else:
-            elems = []
-            for p in queue:
-                word = seen[p.images][1]
-                elems.append(GroupElement(_word_name(word), p, word))
+            elems = [GroupElement(_word_name(w), p, w) for p, w in zip(queue, words)]
         self._by_images = {e.perm.images: e for e in elems}
-        if len(self._by_images) != len(seen):  # only powers of one pair can repeat
-            raise CheckFailed("single-pair closure is not cyclic")
+        self._steps = steps
         self._by_name = {e.name: e for e in elems}
         self._closure = tuple(elems)
         return self._closure
@@ -519,26 +516,25 @@ class FinAction:
         """The closure's multiplication table: entry (i, j) is the index of
         element i times element j, (e_i * e_j)(x) = e_i(e_j(x)).
 
-        Built once per action from row gathers of `closure_images` and a
-        sorted lookup of whole rows, in blocks of about _GATHER_LIMIT
-        entries.
+        Composed once per action from the closure search's step table,
+        steps[s][i] = index of g_s * e_i: row 0 is 0..N-1, and when
+        e_k = g_s * e_i, row k is steps[s] at row i, since
+        e_k * e_j = g_s * (e_i * e_j): N row gathers and no search.
         """
         if self._products is None:
-            images = self.closure_images()
-            n, m = images.shape
-            keys = _row_keys(images)
-            order = np.argsort(keys)
-            sorted_keys = keys[order]
+            n = len(self.closure())
+            steps = np.array(self._steps, dtype=np.intp).reshape(-1, n)
             products = np.empty((n, n), dtype=np.intp)
-            step = max(1, _GATHER_LIMIT // (n * m))
-            for lo in range(0, n, step):
-                # row (i - lo) * n + j is images[i][images[j]]
-                composed = images[lo : lo + step, images].reshape(-1, m)
-                pos = np.minimum(np.searchsorted(sorted_keys, _row_keys(composed)), n - 1)
-                found = order[pos]
-                if not np.array_equal(images[found], composed):
-                    raise CheckFailed("closure is not closed under products")
-                products[lo : lo + step] = found.reshape(-1, n)
+            products[0] = np.arange(n)
+            # e_k = g_s * e_i at the first (i, s) with steps[s][i] = k; for
+            # k > 0 that i comes before k, since an earlier element reaches
+            # e_k (its breadth-first parent, or g^(k-1) for the power g^k),
+            # so rows fill in element order
+            ks, first = np.unique(steps.T, return_index=True)
+            for k, pos in zip(ks.tolist(), first.tolist()):
+                if k:
+                    i, s = divmod(pos, len(steps))
+                    products[k] = steps[s, products[i]]
             products.setflags(write=False)
             self._products = products
         return self._products
@@ -547,16 +543,6 @@ class FinAction:
         """The first non-identity closure element that fixes a point, or
         None when the action is free."""
         return next((e for e in self.closure()[1:] if e.perm.fixed_points()), None)
-
-
-_GATHER_LIMIT = 1 << 20  # entries of one product-table gather block
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of an (R, m) intp table as one opaque byte key, so whole
-    rows sort and search as scalars."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _word_name(word: tuple[str, ...]) -> str:

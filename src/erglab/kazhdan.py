@@ -248,6 +248,8 @@ class FiniteRep:
                 raise ValidationError(
                     f"images break multiplicativity at ({e1.name}, {closure[bad[0]].name})"
                 )
+        inverse = np.argmin(products, axis=1).tolist()  # the identity is element 0
+        self._inverses = {e.name: closure[j].name for e, j in zip(closure, inverse)}
         self._inv_basis: np.ndarray | None = None
 
     @staticmethod
@@ -271,7 +273,7 @@ class FiniteRep:
         return self._elements[0].name
 
     def inverse_name(self, name: str) -> str:
-        return self.action.element_of(self.action.element(name).perm.inverse()).name
+        return self._inverses[self.action.element(name).name]
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
         img = self._images[name]
@@ -293,14 +295,17 @@ class FiniteRep:
         """Orthonormal basis of the fixed subspace, (dimension, r).
 
         For permutation images this is exact: normalized indicators of
-        the connected components of the union of the image graphs. For
-        matrices it is read from the spectrum of the group average.
+        the connected components of the union of the generators' image
+        graphs, which are the orbits of every image since the images
+        form a homomorphism. For matrices it is read from the spectrum of
+        the group average.
         """
         if self._inv_basis is not None:
             return self._inv_basis
         d = self.dimension
         if self.kind == "perm":
-            comps = EqRel.from_perms(d, self._images.values()).classes
+            gens = (self._images[self.action.element_of(g).name] for _, g in self.action.gens)
+            comps = EqRel.from_perms(d, gens).classes
             basis = np.zeros((d, len(comps)))
             for c, members in enumerate(comps):
                 basis[members, c] = 1.0 / math.sqrt(len(members))
@@ -378,6 +383,14 @@ class TransferredForm:
     certificate: GramCertificate
 
 
+def _inverse_gram(action: FinAction, values: Sequence) -> list[list]:
+    """The Gram matrix [values[e_i^-1 * e_j]] of a table listed in closure
+    order, read off the product table (the identity is element 0)."""
+    products = action.product_table()
+    inverse = np.argmin(products, axis=1).tolist()
+    return [[values[k] for k in products[i].tolist()] for i in inverse]
+
+
 def pd_transfer(
     psi: Mapping[str, object],
     a0: FreeGroupAction,
@@ -398,8 +411,7 @@ def pd_transfer(
     if set(psi) != names:
         raise ValidationError("table must be keyed by the small group exactly")
     m = action.space.size
-    small = [(e.name, e.perm) for e in a0.elements]
-    weights = {name: Fraction(psi[name]) for name, _ in small}
+    weights = {e.name: Fraction(psi[e.name]) for e in a0.elements}
     for name, w in weights.items():
         inv = a0.inverse_name(name)
         if weights[inv] != w:
@@ -407,14 +419,7 @@ def pd_transfer(
                 f"table is not symmetric: psi({name}) != psi({inv}), the value at its inverse"
             )
     if certify_input:
-        gram = [
-            [
-                weights[a0.name_of((p1.inverse() * p2))]
-                for _, p2 in small
-            ]
-            for _, p1 in small
-        ]
-        cert = gram_check(gram, "positive")
+        cert = gram_check(_inverse_gram(a0.base, list(weights.values())), "positive")
         if not cert.ok:
             raise ValidationError("input table is not positive-definite")
     # phi(g) = sum over d of psi(d) * #{x : g x = d x} / m, summed over
@@ -424,15 +429,11 @@ def pd_transfer(
         [w.numerator * (scale // w.denominator) for w in weights.values()], dtype=object
     )
     images = action.closure_images()
-    agree = np.array([hit_counts(images, p.images) for _, p in small], dtype=object)
+    agree = np.array([hit_counts(images, e.perm.images) for e in a0.elements], dtype=object)
     closure = action.closure()
     phis = [Fraction(int(v), scale * m) for v in numerators @ agree]
     values = {e.name: v for e, v in zip(closure, phis)}
-    # gram[i][j] = phi(e_i^-1 * e_j); the identity is element 0
-    products = action.product_table()
-    inverse = np.nonzero(products == 0)[1]
-    gram = [[phis[k] for k in products[i].tolist()] for i in inverse.tolist()]
-    cert = gram_check(gram, "positive")
+    cert = gram_check(_inverse_gram(action, phis), "positive")
     if not cert.ok:
         raise CheckFailed("transferred table failed the positivity certificate")
     return TransferredForm(values=values, certificate=cert)

@@ -35,6 +35,7 @@ from erglab import (
     phi_kn,
     semidirect_mul,
 )
+from erglab.coinduce import _target_orbits
 from erglab.coinduce import invariant_observables as _invariant_observables
 from erglab.coinduce import target_orbit_sets as _target_orbit_sets
 from erglab.verify import _doubled_target
@@ -713,3 +714,62 @@ def test_orbit_blocks_come_in_least_member_order(images):
     assert [tuple(sorted(sets[1 << b])) for b in range(len(orbits))] == orbits
     basis = FiniteRep(a0.base, powers).invariant_basis()
     assert [tuple(np.flatnonzero(col).tolist()) for col in basis.T] == orbits
+
+
+def _s3_on_six_points() -> FinAction:
+    # S_3 acting on itself by left translation: free, six points
+    t = Perm.from_cycles(6, [(0, 3), (1, 5), (2, 4)])
+    c = Perm.from_cycles(6, [(0, 1, 2), (3, 4, 5)])
+    return FinAction(
+        FinSpace(6), [("t", t), ("c", c), ("c_inv", c.inverse())], {"t": "t", "c": "c_inv", "c_inv": "c"}
+    )
+
+
+def _word_target(a0: FreeGroupAction, gen_images: dict) -> TargetAction:
+    """The target action sending each generator label to its given image,
+    evaluated along each element's word (the last letter acts last)."""
+    size = next(iter(gen_images.values())).size
+    images = {}
+    for e in a0.elements:
+        p = Perm.identity(size)
+        for lab in e.word:
+            p = gen_images[lab] * p
+        images[e.name] = p
+    return TargetAction(a0, FinSpace(size), images)
+
+
+def _s3_targets(a0: FreeGroupAction) -> list[TargetAction]:
+    t3, c3 = Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])
+    # natural S_3 on {0, 1, 2} and the sign on {3, 4}, with a fixed point 5
+    t6, c6 = Perm.from_cycles(6, [(0, 1), (3, 4)]), Perm.from_cycles(6, [(0, 1, 2)])
+    return [
+        _word_target(a0, {"t": t3, "c": c3, "c_inv": c3.inverse()}),
+        _word_target(a0, {"t": t6, "c": c6, "c_inv": c6.inverse()}),
+        # regular: S_3 translating its own six points
+        TargetAction(a0, FinSpace(6), {e.name: e.perm for e in a0.elements}),
+    ]
+
+
+def _cyclic_targets(a0: FreeGroupAction) -> list[TargetAction]:
+    sigma = Perm.from_cycles(7, [(0, 1), (2, 3, 4)])
+    return [
+        _word_target(a0, {"g": sigma, "g_inv": sigma.inverse()}),
+        TargetAction.trivial(a0, FinSpace(3)),
+        TargetAction(a0, FinSpace(a0.base.space.size), {e.name: e.perm for e in a0.elements}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, targets",
+    [
+        (_s3_on_six_points, _s3_targets),
+        (lambda: shift_action(6), _cyclic_targets),
+        (lambda: shift_action(12, step=2), _cyclic_targets),
+    ],
+    ids=["s3-regular", "shift-6", "shift-12-by-2"],
+)
+def test_target_orbits_are_the_orbits_of_every_image(make, targets):
+    a0 = FreeGroupAction(make())
+    for target in targets(a0):
+        every = (target.perm(e.name) for e in a0.elements)
+        assert _target_orbits(a0, target) == EqRel.from_perms(target.space.size, every).classes

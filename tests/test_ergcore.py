@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -774,17 +775,35 @@ def _non_free_word_action() -> FinAction:
     )
 
 
-@pytest.mark.parametrize(
-    "act",
-    [
-        _cyclic_action(6, tuple(range(6))),
-        _cyclic_action(5, (0, 2, 4)),
-        _two_involution_action(),
-        _non_free_word_action(),
-    ],
-    ids=["free-powers", "non-free-powers", "non-free-words", "non-abelian-words"],
-)
-def test_product_table_matches_element_of(act):
+def _two_generator_action(a: Perm, b: Perm) -> FinAction:
+    gens, inverses = [], {}
+    for lab, p in (("a", a), ("b", b)):
+        gens.append((lab, p))
+        if p.inverse() == p:
+            inverses[lab] = lab
+        else:
+            gens.append((lab + "_inv", p.inverse()))
+            inverses[lab], inverses[lab + "_inv"] = lab + "_inv", lab
+    return FinAction(FinSpace(a.size), gens, inverses)
+
+
+def _natural_symmetric_action(n: int) -> FinAction:
+    # S_n on n points, generated by a transposition and an n-cycle
+    return _two_generator_action(Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))]))
+
+
+def _regular_s4_action() -> FinAction:
+    # S_4 acting on its 24 elements by left translation
+    points = list(itertools.permutations(range(4)))
+    where = {p: i for i, p in enumerate(points)}
+
+    def left(g: tuple[int, ...]) -> Perm:
+        return Perm([where[tuple(g[x] for x in h)] for h in points])
+
+    return _two_generator_action(left((1, 0, 2, 3)), left((1, 2, 3, 0)))
+
+
+def _assert_product_table_matches_element_of(act: FinAction) -> None:
     elems = act.closure()
     images = act.closure_images()
     assert [tuple(row) for row in images.tolist()] == [e.perm.images for e in elems]
@@ -794,3 +813,50 @@ def test_product_table_matches_element_of(act):
         for j, b in enumerate(elems):
             assert elems[table[i, j]] is act.element_of(a.perm * b.perm)
     assert act.product_table() is table
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        _cyclic_action(6, tuple(range(6))),
+        _cyclic_action(5, (0, 2, 4)),
+        _two_involution_action(),
+        _non_free_word_action(),
+        _regular_s4_action(),
+        _natural_symmetric_action(5),
+    ],
+    ids=[
+        "free-powers",
+        "non-free-powers",
+        "non-free-words",
+        "non-abelian-words",
+        "regular-s4",
+        "natural-s5",
+    ],
+)
+def test_product_table_matches_element_of(act):
+    _assert_product_table_matches_element_of(act)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_table_matches_element_of_on_random_actions(data):
+    n = data.draw(st.integers(1, 6))
+    a, b = (Perm(tuple(data.draw(st.permutations(range(n))))) for _ in range(2))
+    _assert_product_table_matches_element_of(_two_generator_action(a, b))
+
+
+@pytest.mark.parametrize(
+    "act",
+    [_cyclic_action(1000, tuple(range(1000))), _natural_symmetric_action(7)],
+    ids=["shift-1000", "natural-s7"],
+)
+def test_product_table_must_finish(act):
+    elems = act.closure()
+    start = time.perf_counter()
+    table = act.product_table()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"product_table took {elapsed:.2f} s on {len(elems)} elements"
+    rng = random.Random(7)
+    for i, j in ((rng.randrange(len(elems)), rng.randrange(len(elems))) for _ in range(200)):
+        assert elems[table[i, j]] is act.element_of(elems[i].perm * elems[j].perm)

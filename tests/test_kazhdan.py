@@ -406,6 +406,38 @@ def test_invariant_basis_perm_is_exact():
             assert np.array_equal(rep.apply(el.name, basis[:, c]), basis[:, c])
 
 
+
+def _cyclic_with_fixed_points() -> FinAction:
+    p = Perm.from_cycles(7, [(0, 1, 2), (3, 4)])
+    return FinAction(FinSpace(7), [("g", p), ("g_inv", p.inverse())], {"g": "g_inv", "g_inv": "g"})
+
+
+@pytest.mark.parametrize("kind", ["natural", "regular"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        s3_action,
+        lambda: s3_on_six_points(),
+        lambda: shift_action(6),
+        lambda: shift_action(6, step=2),
+        _two_orbit_action,
+        _cyclic_with_fixed_points,
+    ],
+    ids=["s3", "s3-on-six", "shift-6", "shift-6-by-2", "two-orbits", "fixed-points"],
+)
+def test_perm_invariant_basis_is_the_orbits_of_every_image(make, kind):
+    action = make()
+    rep = FiniteRep.natural(action) if kind == "natural" else FiniteRep.regular(action)
+    d = rep.dimension
+    # the partition built from the images of all elements, not only the generators
+    images = [np.argmax(rep.matrix(name), axis=0).tolist() for name in rep.names]
+    comps = EqRel.from_pairs(d, ((x, y) for img in images for x, y in enumerate(img))).classes
+    want = np.zeros((d, len(comps)))
+    for c, members in enumerate(comps):
+        want[list(members), c] = 1.0 / math.sqrt(len(members))
+    assert np.array_equal(rep.invariant_basis(), want)
+
+
 # -- averaging operator norm --------------------------------------------------
 
 

@@ -48,3 +48,45 @@ def test_the_guard_sees_relative_lazy_and_absolute_imports(tmp_path):
         "mod.py:3 imports _UnionFind from erglab.ergcore",
         "mod.py:5 imports _helper from .verify",
     ]
+
+
+_LOOKUPS = ("element_of", "name_of")
+
+
+def _product_lookups(path: Path) -> list[str]:
+    """Calls of `element_of` or `name_of` on a `*` product: a closure
+    element found by composing two permutations, where the action's
+    product table already holds the answer."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in _LOOKUPS and any(
+            isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult) for arg in node.args
+        ):
+            found.append((node.lineno, name))
+    return [f"{path.name}:{line} calls {name} on a product" for line, name in sorted(found)]
+
+
+def test_no_module_looks_up_a_product_of_closure_elements():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _product_lookups(path)]
+    assert found == []
+
+
+def test_the_guard_sees_product_lookups(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "composite = b0.element_of(g1.perm * g2.perm).name\n"
+        "w = weights[a0.name_of((p1.inverse() * p2))]\n"
+        "e = element_of(s * t)\n"
+        "ok = act.element_of(p)\n"
+        "ok = act.element_of(perms[i * 2])\n"
+        "ok = act.resolve(s * t)\n"
+    )
+    assert _product_lookups(src) == [
+        "mod.py:1 calls element_of on a product",
+        "mod.py:2 calls name_of on a product",
+        "mod.py:3 calls element_of on a product",
+    ]
