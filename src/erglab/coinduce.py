@@ -62,6 +62,7 @@ class FreeGroupAction:
         self._orbits: EqRel | None = None
         self._products: dict[tuple[str, str], str] = {}
         self._inverses: dict[str, str] = {}
+        self._index_arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -101,6 +102,35 @@ class FreeGroupAction:
                 f"no element carries {src} to {dst}; the points are in different orbits"
             )
         return self.mult(self._carrier[dst], self.inverse_name(self._carrier[src]))
+
+    # The same rules over arrays of element indices (closure order), for
+    # the transport tables of `CoinducedSystem`.
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """(image rows, element index by image of 0, h^-1(0) per element h,
+        carrier element index per point), built once."""
+        if self._index_arrays is None:
+            images = self.base.closure_images()
+            by_image0 = np.full(len(self._rep), -1, dtype=np.intp)
+            by_image0[images[:, 0]] = np.arange(len(images))
+            at0 = np.argmax(images == 0, axis=1)
+            index = {e.name: i for i, e in enumerate(self.elements)}
+            carrier = np.array([index[name] for name in self._carrier], dtype=np.intp)
+            self._index_arrays = images, by_image0, at0, carrier
+        return self._index_arrays
+
+    def mult_indices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Element indices of the products left * right, elementwise: the
+        element sending 0 where left sends right's image of 0."""
+        images, by_image0, _, _ = self._arrays()
+        return by_image0[images[left, images[right, 0]]]
+
+    def transporter_indices(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Element indices of transporter(src, dst), elementwise, for point
+        pairs known to share an orbit: h_dst h_src^-1 sends 0 to
+        h_dst(h_src^-1(0))."""
+        images, by_image0, at0, carrier = self._arrays()
+        return by_image0[images[carrier[dst], at0[carrier[src]]]]
 
     def orbit_relation(self) -> EqRel:
         """The orbits of the group, computed once per action."""
@@ -266,10 +296,20 @@ class CoinducedSystem:
     The point (x, ybar) of the product has the code
     x * Y^N + sum_n ybar[n] * Y^(N-1-n). The materialized routes never
     decode points one by one: `base_column` and `digit_column` give a
-    coordinate of every code as an integer array, `product_perm` builds
-    its images one x-block of Y^N codes at a time by array gathers, and
-    the checks compare, count and fold on those arrays. Transports
-    rho(x, y), product maps and target images are cached on the system.
+    coordinate of every code as an integer array, and the checks
+    compare, count and fold on those arrays.
+
+    The transport of an ambient-class-preserving g is held as two
+    integer (m, N) rows, built in numpy from the choice table and a0's
+    closure image rows and cached per g: `slots[x, k]` is the slot
+    permutation of rho(x, g(x)) and `deltas[x, n]` the a0 element index
+    (closure order) of its n-th transport entry. Stacked over b0's
+    closure they form the (G, m, N) `transport_table`, which the checks
+    and `product_images` read for all points at once; the product map
+    is kept as an int array and wrapped in a `Perm` only by
+    `product_perm`. The scalar `rho`, `point_map`, `index_cocycle`,
+    `delta_bar` and `semidirect_mul` stay as the per-point definition
+    that the tables are tested against.
     """
 
     def __init__(
@@ -296,9 +336,12 @@ class CoinducedSystem:
         self.product_size = self.x_size * self.y_size**self.N
         self._cap = get_cap("product", cap)
         self.materialized = self.product_size <= self._cap
-        self._perm_cache: dict[tuple[int, ...], tuple[Perm, np.ndarray]] = {}
-        self._rho: dict[tuple[int, int], tuple[Perm, tuple[str, ...]]] = {}
-        self._target_images: dict[str, np.ndarray] = {}
+        self._slot_lookup: tuple[np.ndarray, ...] | None = None
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._products: dict[tuple[int, ...], np.ndarray] = {}
+        self._digits: dict[int, np.ndarray] = {}
+        self._targets: np.ndarray | None = None
 
     # -- product coordinates ------------------------------------------------
 
@@ -321,18 +364,17 @@ class CoinducedSystem:
 
     def digit_column(self, n: int) -> np.ndarray:
         """The coordinate ybar[n] of every product code, indexed by code."""
-        codes = np.arange(self.product_size, dtype=np.int64)
-        return (codes // self.y_size ** (self.N - 1 - n)) % self.y_size
+        col = self._digits.get(n)
+        if col is None:
+            codes = np.arange(self.product_size, dtype=np.int64)
+            col = self._digits[n] = (codes // self.y_size ** (self.N - 1 - n)) % self.y_size
+        return col
 
     # -- transport ------------------------------------------------------------
 
     def rho(self, x: int, y: int) -> tuple[Perm, tuple[str, ...]]:
         """Pair transport: slot permutation and element vector from x to y."""
-        hit = self._rho.get((x, y))
-        if hit is None:
-            hit = index_cocycle(self.cs, x, y), delta_bar(self.cs, self.a0, x, y)
-            self._rho[(x, y)] = hit
-        return hit
+        return index_cocycle(self.cs, x, y), delta_bar(self.cs, self.a0, x, y)
 
     def apply_transport(
         self, pi: Perm, dbar: tuple[str, ...], ybar: Sequence[int]
@@ -347,50 +389,119 @@ class CoinducedSystem:
         pi, dbar = self.rho(x, g(x))
         return g(x), self.apply_transport(pi, dbar, ybar)
 
-    def _target_array(self, name: str) -> np.ndarray:
-        """The target permutation of a small-group element as an array."""
-        arr = self._target_images.get(name)
-        if arr is None:
-            arr = np.array(self.a.perm(name).images, dtype=np.int64)
-            self._target_images[name] = arr
-        return arr
+    def target_rows(self) -> np.ndarray:
+        """The target permutation of every a0 element, (G0, Y) in a0's
+        closure order."""
+        if self._targets is None:
+            rows = [self.a.perm(e.name).images for e in self.a0.elements]
+            self._targets = np.array(rows, dtype=np.int64).reshape(len(rows), self.y_size)
+        return self._targets
 
-    def product_perm(self, g: Perm) -> Perm:
-        """The materialized product permutation of g (requires the cap).
+    def _transport(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, deltas) of the maps with image rows `moved`, (G, m) in,
+        two (G, m, N) tables out. The maps must preserve the ambient classes."""
+        cs = self.cs
+        if cs.E != self.a0.orbit_relation():
+            raise ValidationError("choice-system classes differ from the group orbits")
+        if self._slot_lookup is None:
+            choices = np.array([cs.choices_at(x) for x in range(self.x_size)], dtype=np.intp)
+            classes = cs.E.class_ids()[choices]
+            # one key y * (number of E-classes) + class of choice(y, n) per
+            # slot n of every point y, sorted, with the slot it names
+            keys = (np.arange(self.x_size)[:, None] * cs.E.num_classes + classes).ravel()
+            order = np.argsort(keys)
+            self._slot_lookup = choices, classes, keys[order], order % self.N
+        choices, classes, keys, slot_of_key = self._slot_lookup
+        # slot k of x goes to the slot n of g(x) whose choice shares the
+        # E-class of choice(x, k)
+        wanted = moved[:, :, None] * cs.E.num_classes + classes
+        slots = slot_of_key[np.searchsorted(keys, wanted)]
+        # entry n = slots[k] carries choice(x, k) to choice(g(x), n)
+        ends = np.take_along_axis(choices[moved], slots, axis=2)
+        deltas = np.empty_like(slots)
+        np.put_along_axis(deltas, slots, self.a0.transporter_indices(choices, ends), axis=2)
+        return slots, deltas
+
+    def _first_class_break(self) -> tuple[int, int] | None:
+        """The first (closure index, point) where a b0 element leaves the
+        ambient class of the point, or None."""
+        fid = self.cs.F.class_ids()
+        off = np.argwhere(fid[self.b0.closure_images()] != fid)
+        return (int(off[0, 0]), int(off[0, 1])) if len(off) else None
+
+    def transport_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, deltas) of every b0 closure element, each (G, m, N) in
+        closure order; built once, and its rows serve `transport_rows`."""
+        if self._table is None:
+            broken = self._first_class_break()
+            if broken is not None:
+                i, x = broken
+                y = self.b0.closure()[i].perm(x)
+                raise ValidationError(f"{x} and {y} are in different ambient classes")
+            slots, deltas = self._transport(self.b0.closure_images())
+            slots.setflags(write=False)
+            deltas.setflags(write=False)
+            self._table = slots, deltas
+            for i, g in enumerate(self.b0.closure()):
+                self._rows[g.perm.images] = slots[i], deltas[i]
+        return self._table
+
+    def transport_rows(self, g: Perm) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, deltas) of an ambient-class-preserving g, each (m, N).
+
+        Any such g is accepted, in b0's closure or not: a b0 element is
+        read off `transport_table`, and any other g gets rows of its own.
+        """
+        rows = self._rows.get(g.images)
+        if rows is None:
+            if not in_full_group(self.cs.F, g):
+                raise ValidationError("the map must preserve each ambient class")
+            if self._table is None and self._first_class_break() is None:
+                self.transport_table()
+                rows = self._rows.get(g.images)
+            if rows is None:
+                slots, deltas = self._transport(np.array([g.images], dtype=np.intp))
+                rows = self._rows[g.images] = slots[0], deltas[0]
+        return rows
+
+    def product_images(self, g: Perm) -> np.ndarray:
+        """The materialized product map of g as an int64 array indexed by
+        code (requires the cap), checked to be a permutation.
 
         The block of x holds the codes of (x, ybar) for every ybar; it
-        goes to the block of g(x), where digit n is the image of digit
-        pi^-1(n) under the target image of dbar[n], for (pi, dbar) =
-        rho(x, g(x)).
+        goes to the block of g(x), where digit n = slots[x, k] is the
+        image of digit k under the target image of element deltas[x, n].
+        One gather per slot k builds the blocks of every x at once.
         """
         if not self.materialized:
             raise ValidationError(
                 f"product space of size {self.product_size} exceeds the cap {self._cap}"
             )
-        if g.images in self._perm_cache:
-            return self._perm_cache[g.images][0]
-        if not in_full_group(self.cs.F, g):
-            raise ValidationError("the map must preserve each ambient class")
+        images = self._products.get(g.images)
+        if images is not None:
+            return images
+        slots, deltas = self.transport_rows(g)
         block = self.y_size**self.N
         local = np.arange(block, dtype=np.int64)
-        places = [self.y_size ** (self.N - 1 - n) for n in range(self.N)]
-        digits = [(local // w) % self.y_size for w in places]
-        images = np.empty(self.product_size, dtype=np.int64)
-        for x in range(self.x_size):
-            gx = g(x)
-            pi, dbar = self.rho(x, gx)
-            out = np.full(block, gx * block, dtype=np.int64)
-            for n, src in enumerate(pi.inverse().images):
-                out += places[n] * self._target_array(dbar[n])[digits[src]]
-            images[x * block : (x + 1) * block] = out
-        perm = Perm(images.tolist())
-        self._perm_cache[g.images] = (perm, images)
-        return perm
+        places = self.y_size ** np.arange(self.N - 1, -1, -1, dtype=np.int64)
+        targets = self.target_rows()
+        rows = np.arange(self.x_size)[:, None]
+        out = np.repeat(np.array(g.images, dtype=np.int64) * block, block).reshape(-1, block)
+        for k in range(self.N):
+            n = slots[:, k : k + 1]
+            digit = (local // places[k]) % self.y_size
+            out += places[n] * targets[deltas[rows, n], digit]
+        images = out.ravel()
+        size = self.product_size
+        if images.min() < 0 or images.max() >= size or np.bincount(images).max() > 1:
+            raise ValidationError(f"not a permutation of 0..{size - 1}: {tuple(images.tolist())}")
+        images.setflags(write=False)
+        self._products[g.images] = images
+        return images
 
-    def product_images(self, g: Perm) -> np.ndarray:
-        """product_perm(g) as an int64 array indexed by code."""
-        self.product_perm(g)
-        return self._perm_cache[g.images][1]
+    def product_perm(self, g: Perm) -> Perm:
+        """The product map of g as a Perm (requires the cap)."""
+        return Perm(self.product_images(g).tolist())
 
     def a_prime_perm(self, delta_name: str) -> Perm:
         return self.product_perm(self.a0.perm_of(delta_name))
@@ -426,12 +537,18 @@ def coinduced_action(
 
     gammas = b0.closure()
     b_maps = [sys.product_images(g.perm) for g in gammas]
-    # action law: the product map of a composite is the composite of maps
-    for i, row in enumerate(b0.product_table().tolist()):
-        for j, k in enumerate(row):
-            if not np.array_equal(b_maps[k], b_maps[i][b_maps[j]]):
-                raise CheckFailed("product maps do not compose as an action")
     codes = np.arange(sys.product_size, dtype=np.int64)
+    # action law: the product map of a composite is the composite of maps.
+    # For all pairs it follows, by induction on the word length of the
+    # left factor, from the identity (element 0) and the generators.
+    gens = {b0.element_of(b0.generator(lab)).name for lab in b0.labels}
+    if not np.array_equal(b_maps[0], codes):
+        raise CheckFailed("product maps do not compose as an action")
+    for i, row in enumerate(b0.product_table().tolist()):
+        if gammas[i].name in gens:
+            for j, k in enumerate(row):
+                if not np.array_equal(b_maps[k], b_maps[i][b_maps[j]]):
+                    raise CheckFailed("product maps do not compose as an action")
     if b0.fixing_element() is None:
         for b_map in b_maps[1:]:  # element 0 is the identity
             if np.any(b_map == codes):
@@ -445,10 +562,10 @@ def coinduced_action(
     for g, b_map in zip(gammas, b_maps):
         if not np.array_equal(base[b_map], np.array(g.perm.images)[base]):
             raise CheckFailed("projection to the base space is not equivariant")
-    for d in a0.elements:
+    for d, target in zip(a0.elements, sys.target_rows()):
         ap = sys.product_images(d.perm)
         base_ok = base[ap] == np.array(d.perm.images)[base]
-        first_ok = first[ap] == sys._target_array(d.name)[first]
+        first_ok = first[ap] == target[first]
         bad = np.flatnonzero(~(base_ok & first_ok))
         if bad.size and not base_ok[bad[0]]:
             raise CheckFailed("projection of the small action to the base is not equivariant")
@@ -462,27 +579,26 @@ def check_rho_cocycle(sys: CoinducedSystem) -> int:
 
     For all closure elements g1, g2 and every point x, the transport of
     g1*g2 at x must equal the product of the transport of g1 at g2(x)
-    with the transport of g2 at x. Returns the number of verified
-    triples; raises on any violation.
+    with the transport of g2 at x, (p1, d1)(p2, d2) = (p1 p2, n ->
+    d1[n] * d2[p1^-1(n)]). Each g1 is checked against every (g2, x) at
+    once on the transport table. Returns the number of verified
+    triples; raises at the first violation, g1 outermost, then g2, then x.
     """
     gammas = sys.b0.closure()
-    count = 0
-    for g1, row in zip(gammas, sys.b0.product_table().tolist()):
-        for g2, k in zip(gammas, row):
-            composite = gammas[k].perm
-            for x in range(sys.x_size):
-                lhs = sys.rho(x, composite(x))
-                rhs = semidirect_mul(
-                    sys.a0,
-                    sys.rho(g2.perm(x), g1.perm(g2.perm(x))),
-                    sys.rho(x, g2.perm(x)),
-                )
-                if lhs != rhs:
-                    raise CheckFailed(
-                        f"transport cocycle identity fails at ({g1.name}, {g2.name}, {x})"
-                    )
-                count += 1
-    return count
+    slots, deltas = sys.transport_table()
+    inverses = np.argsort(slots, axis=2)  # p^-1 of every slot permutation
+    moved = sys.b0.closure_images()  # moved[g2, x] = g2(x)
+    for i, (g1, composite) in enumerate(zip(gammas, sys.b0.product_table())):
+        p1, d1 = slots[i][moved], deltas[i][moved]  # transport of g1 at g2(x)
+        p12 = np.take_along_axis(p1, slots, axis=2)
+        d12 = sys.a0.mult_indices(d1, np.take_along_axis(deltas, inverses[i][moved], axis=2))
+        bad = (slots[composite] != p12).any(axis=2) | (deltas[composite] != d12).any(axis=2)
+        if bad.any():
+            j, x = np.argwhere(bad)[0]
+            raise CheckFailed(
+                f"transport cocycle identity fails at ({g1.name}, {gammas[j].name}, {x})"
+            )
+    return len(gammas) ** 2 * sys.x_size
 
 
 def phi_kn(
@@ -511,9 +627,8 @@ def _pair_counts(a: np.ndarray, b: np.ndarray, base: int):
     """(a * base + b, count) for each value pair (a[i], b[i]) that occurs."""
     cells = a * base + b
     if base * base <= len(cells):
-        counts = np.bincount(cells, minlength=base * base)
-        present = np.flatnonzero(counts)
-        return zip(present.tolist(), counts[present].tolist())
+        counts = np.bincount(cells, minlength=base * base).tolist()
+        return ((cell, c) for cell, c in enumerate(counts) if c)
     # sparse: base^2 cells would outnumber the points (one slot, large target)
     present, counts = np.unique(cells, return_counts=True)
     return zip(present.tolist(), counts.tolist())
@@ -529,6 +644,9 @@ def check_thm33_identity(
     g.B0 with B0 equals p*phi(E, g) + p^2*(1 - phi(E, g)). Computed by
     factorized counting and, when the product is materialized, by
     direct enumeration; both must agree with the closed form exactly.
+
+    The factorized route counts the points by their slot-0 element
+    (a bincount of a deltas column) and folds the counts in Python ints.
     """
     g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
@@ -536,29 +654,34 @@ def check_thm33_identity(
     b_pts = sorted(set(int(v) for v in b_set))
     if not set(b_pts) <= set(range(sys.y_size)):
         raise ValidationError("subset leaves the target space")
-    for d in sys.a0.elements:
-        if {sys.a.perm(d.name)(y) for y in b_pts} != set(b_pts):
-            raise ValidationError(f"subset is not invariant under element {d.name}")
-    p = Fraction(len(b_pts), sys.y_size)
+    y_size = sys.y_size
+    in_b = np.zeros(y_size, dtype=bool)
+    in_b[np.array(b_pts, dtype=np.intp)] = True
+    lands = in_b[sys.target_rows()]  # lands[j, y]: element j sends y into B
+    kept = lands[:, in_b]
+    if not kept.all():
+        name = sys.a0.elements[np.argmin(kept.all(axis=1))].name
+        raise ValidationError(f"subset is not invariant under element {name}")
+    p = Fraction(len(b_pts), y_size)
     phi_val = phi(sys.cs.E, g)
     rhs = p * phi_val + p * p * (1 - phi_val)
 
-    y_size = sys.y_size
-    b_lookup = set(b_pts)
-    total = 0  # the overlap times X * Y^2
-    for x in range(sys.x_size):
-        pi, dbar = sys.rho(x, g(x))
-        dperm = sys.a.perm(dbar[0])
-        if pi(0) == 0:
-            total += y_size * sum(1 for y in b_pts if dperm(y) in b_lookup)
-        else:
-            total += len(b_pts) * sum(1 for y in range(y_size) if dperm(y) in b_lookup)
+    # A point whose slot permutation fixes 0 pairs B with its image under
+    # its slot-0 element; otherwise the two coordinates are independent.
+    # Count the points by slot-0 element j: cell j for those moving slot
+    # 0, cell n_el + j for those fixing it.
+    slots, deltas = sys.transport_rows(g)
+    n_el = len(lands)
+    cells = np.bincount((slots[:, 0] == 0) * n_el + deltas[:, 0], minlength=2 * n_el).tolist()
+    stay = kept.sum(axis=1).tolist()  # y in B sent into B
+    land = lands.sum(axis=1).tolist()  # y sent into B
+    total = sum(  # the overlap times X * Y^2
+        cells[n_el + j] * y_size * stay[j] + cells[j] * len(b_pts) * land[j] for j in range(n_el)
+    )
     lhs_fact = Fraction(total, sys.x_size * y_size * y_size)
 
     lhs_mat = None
     if sys.materialized:
-        in_b = np.zeros(y_size, dtype=bool)
-        in_b[np.array(b_pts, dtype=np.int64)] = True
         starts_in_b = in_b[sys.digit_column(0)]
         count = np.count_nonzero(starts_in_b & starts_in_b[sys.product_images(g)])
         lhs_mat = Fraction(int(count), sys.product_size)
@@ -576,27 +699,37 @@ def check_thm33_identity(
     )
 
 
-def check_prop34_pairing(
-    sys: CoinducedSystem, f: Sequence, k: int, n: int, gamma
-) -> PairingReport:
-    """Exact pairing identity for mean-zero invariant observables.
+def check_prop34_pairings(
+    sys: CoinducedSystem, f: Sequence, gamma, pairs: Sequence[tuple[int, int]] | None = None
+) -> dict[tuple[int, int], PairingReport]:
+    """Exact pairing identity for mean-zero invariant observables, for
+    every slot pair (k, n) of one (gamma, f) (or only the given pairs).
 
     For f on the target space with zero mean, invariant under the small
     action, the pairing of the n-th coordinate copy of f moved by g
     against the k-th copy equals (slot statistic at (k, n)) * ||f||^2.
-    Factorized and materialized routes must both match exactly.
+    Factorized and materialized routes must both match exactly. Reports
+    come keyed by (k, n) in row-major order, and the first failing pair
+    in that order raises.
 
     Both routes fold in integers: f is scaled to integer numerators over
-    the least common denominator D. The materialized route counts the
-    (ybar_k, g.ybar_n) value pairs over all product codes, from the
-    digit columns and the product images, and folds the Y^2 cells with
-    Python ints; each route builds one Fraction at the end.
+    the least common denominator D, once per call with its invariance
+    check and norm. The factorized route counts the points sending k to
+    n by their element deltas[x, n] (one bincount over every (k, n)).
+    The materialized route counts the (ybar_k, g.ybar_n) value pairs
+    over all product codes, from the digit columns and the product
+    images, and folds the Y^2 cells with Python ints; each route builds
+    one Fraction per pair at the end.
     """
     g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
         raise ValidationError("the map must preserve each ambient class")
-    if not (0 <= k < sys.N and 0 <= n < sys.N):
-        raise ValidationError(f"slot indices must lie below {sys.N}")
+    n_slots = sys.N
+    if pairs is None:
+        pairs = list(itertools.product(range(n_slots), repeat=2))
+    for k, n in pairs:
+        if not (0 <= k < n_slots and 0 <= n < n_slots):
+            raise ValidationError(f"slot indices must lie below {n_slots}")
     vals = [Fraction(v) for v in f]
     if len(vals) != sys.y_size:
         raise ValidationError("observable length differs from the target space")
@@ -604,46 +737,66 @@ def check_prop34_pairing(
     nums = [v.numerator * (den // v.denominator) for v in vals]  # f = nums / den
     if sum(nums) != 0:
         raise ValidationError("observable must have zero mean")
-    for d in sys.a0.elements:
-        dp = sys.a.perm(d.name)
-        if any(nums[dp(y)] != nums[y] for y in range(sys.y_size)):
-            raise ValidationError(f"observable is not invariant under element {d.name}")
+    targets = sys.target_rows()
+    levels = {v: i for i, v in enumerate(set(nums))}
+    level = np.array([levels[v] for v in nums], dtype=np.intp)
+    moves = level[targets] != level
+    if moves.any():
+        name = sys.a0.elements[np.argmax(moves.any(axis=1))].name
+        raise ValidationError(f"observable is not invariant under element {name}")
     y_size = sys.y_size
     norm_sq = Fraction(sum(v * v for v in nums), den * den * y_size)
 
     # A point whose slot permutation sends k elsewhere pairs two
     # independent coordinates, so it adds the product of two means of f:
-    # zero, since f has zero mean. Only the points sending k to n count.
-    hits = 0  # points whose slot permutation sends k to n
-    total = 0  # the pairing times X * Y * D^2
-    for x in range(sys.x_size):
-        pi, dbar = sys.rho(x, g(x))
-        if pi(k) == n:
-            hits += 1
-            dperm = sys.a.perm(dbar[n])
-            total += sum(nums[dperm(y)] * nums[y] for y in range(y_size))
-    lhs_fact = Fraction(total, sys.x_size * y_size * den * den)
-    phi_val = Fraction(hits, sys.x_size)  # phi_kn(cs, b0, k, n, g) off the cached transports
-    rhs = phi_val * norm_sq
+    # zero, since f has zero mean. Only the points sending k to n count,
+    # each with sum_y f(d(y)) f(y) for its element d = deltas[x, n].
+    slots, deltas = sys.transport_rows(g)
+    n_el = len(targets)
+    elements = deltas[np.arange(sys.x_size)[:, None], slots]  # deltas[x, slots[x, k]]
+    cells = (np.arange(n_slots) * n_slots + slots) * n_el + elements
+    counts = np.bincount(cells.ravel(), minlength=n_slots * n_slots * n_el)
+    counts = counts.reshape(n_slots, n_slots, n_el).tolist()
+    element_sums = [sum(nums[t] * v for t, v in zip(row, nums)) for row in targets.tolist()]
 
-    lhs_mat = None
-    if sys.materialized:
-        moved = sys.digit_column(n)[sys.product_images(g)]
-        pairs = _pair_counts(sys.digit_column(k), moved, y_size)
-        total = sum(c * nums[cell // y_size] * nums[cell % y_size] for cell, c in pairs)
-        lhs_mat = Fraction(total, sys.product_size * den * den)
-        if lhs_mat != lhs_fact:
-            raise CheckFailed("factorized and materialized pairings disagree")
-    if lhs_fact != rhs:
-        raise CheckFailed("pairing identity violated")
-    return PairingReport(
-        norm_sq=norm_sq,
-        phi_kn_value=phi_val,
-        lhs_factorized=lhs_fact,
-        lhs_materialized=lhs_mat,
-        rhs=rhs,
-        verdict="pass",
-    )
+    images = sys.product_images(g) if sys.materialized else None
+    moved: dict[int, np.ndarray] = {}
+    reports = {}
+    for k, n in pairs:
+        weights = counts[k][n]
+        hits = sum(weights)  # points whose slot permutation sends k to n
+        total = sum(c * s for c, s in zip(weights, element_sums) if c)
+        lhs_fact = Fraction(total, sys.x_size * y_size * den * den)
+        phi_val = Fraction(hits, sys.x_size)  # phi_kn(cs, b0, k, n, g) off the transport rows
+        rhs = phi_val * norm_sq
+
+        lhs_mat = None
+        if images is not None:
+            if n not in moved:
+                moved[n] = sys.digit_column(n)[images]
+            cells_mat = _pair_counts(sys.digit_column(k), moved[n], y_size)
+            total = sum(c * nums[cell // y_size] * nums[cell % y_size] for cell, c in cells_mat)
+            lhs_mat = Fraction(total, sys.product_size * den * den)
+            if lhs_mat != lhs_fact:
+                raise CheckFailed("factorized and materialized pairings disagree")
+        if lhs_fact != rhs:
+            raise CheckFailed("pairing identity violated")
+        reports[(k, n)] = PairingReport(
+            norm_sq=norm_sq,
+            phi_kn_value=phi_val,
+            lhs_factorized=lhs_fact,
+            lhs_materialized=lhs_mat,
+            rhs=rhs,
+            verdict="pass",
+        )
+    return reports
+
+
+def check_prop34_pairing(
+    sys: CoinducedSystem, f: Sequence, k: int, n: int, gamma
+) -> PairingReport:
+    """The pairing identity of `check_prop34_pairings` at one slot pair (k, n)."""
+    return check_prop34_pairings(sys, f, gamma, [(k, n)])[(k, n)]
 
 
 def choice_perm(cs: ChoiceSystem, n: int) -> Perm | None:

@@ -191,10 +191,18 @@ def prop53_check(
 
 class FiniteRep:
     """A representation of the closure of a FinAction, either by
-    permutations (exact) or by orthogonal matrices (tolerance 1e-12),
-    validated as a homomorphism exhaustively."""
+    permutations (exact) or by orthogonal matrices (tolerance 1e-12).
+
+    Images passed in are validated as a homomorphism exhaustively, over
+    every pair of closure elements. `natural` and `regular` are
+    homomorphisms by construction and skip that check.
+    """
 
     def __init__(self, action: FinAction, images: Mapping):
+        self._load(action, images)
+        self._check_multiplicative()
+
+    def _load(self, action: FinAction, images: Mapping) -> None:
         closure = action.closure()
         names = {e.name for e in closure}
         if set(images) != names:
@@ -227,9 +235,17 @@ class FiniteRep:
                 mats[name] = arr
             self.dimension = dim
             self._images = mats
+        inverse = np.argmin(action.product_table(), axis=1).tolist()  # the identity is element 0
+        self._inverses = {e.name: closure[j].name for e, j in zip(closure, inverse)}
+        self._inv_basis: np.ndarray | None = None
+
+    def _check_multiplicative(self) -> None:
+        """Raise at the first pair (e_i, e_j), in closure order, whose
+        product's image is not the product of their images."""
+        closure = self._elements
         # row j of breaks(i): does the image of e_i * e_j differ from the
         # product of the images of e_i and e_j?
-        products = action.product_table()
+        products = self.action.product_table()
         if self.kind == "perm":
             rows = np.array([self._images[e.name].images for e in closure], dtype=np.intp)
 
@@ -248,21 +264,29 @@ class FiniteRep:
                 raise ValidationError(
                     f"images break multiplicativity at ({e1.name}, {closure[bad[0]].name})"
                 )
-        inverse = np.argmin(products, axis=1).tolist()  # the identity is element 0
-        self._inverses = {e.name: closure[j].name for e, j in zip(closure, inverse)}
-        self._inv_basis: np.ndarray | None = None
+
+    @classmethod
+    def _by_construction(cls, action: FinAction, images: Mapping) -> "FiniteRep":
+        """A representation whose images form a homomorphism by how they
+        were built, so the N^2 pair check is skipped."""
+        rep = cls.__new__(cls)
+        rep._load(action, images)
+        return rep
 
     @staticmethod
     def natural(action: FinAction) -> "FiniteRep":
         """Each element acts by its own permutation of the space."""
-        return FiniteRep(action, {e.name: e.perm for e in action.closure()})
+        return FiniteRep._by_construction(action, {e.name: e.perm for e in action.closure()})
 
     @staticmethod
     def regular(action: FinAction) -> "FiniteRep":
-        """Left translation on the closure itself."""
-        # row i of the product table is left translation by element i
+        """Left translation on the closure itself: element i acts by row i
+        of the product table, and e_i e_j acts by the composite since the
+        product is associative."""
         rows = action.product_table().tolist()
-        return FiniteRep(action, {e.name: Perm(row) for e, row in zip(action.closure(), rows)})
+        return FiniteRep._by_construction(
+            action, {e.name: Perm(row) for e, row in zip(action.closure(), rows)}
+        )
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ from . import kazhdan
 from .coinduce import (
     FreeGroupAction,
     TargetAction,
-    check_prop34_pairing,
+    check_prop34_pairings,
     check_rho_cocycle,
     check_thm33_identity,
     coinduced_action,
@@ -252,13 +252,13 @@ def suite_coinduce_identities(count: int = 20, size: int = 8, seed: int = 0) -> 
         sampled = rng.sample(gammas, min(3, len(gammas)))
         try:
             for sys in systems:
+                b_sets = [sorted(b_set) for b_set in target_orbit_sets(spec.a0, sys.a)]
+                observables = invariant_observables(spec.a0, sys.a)
                 for gamma in sampled:
-                    for b_set in target_orbit_sets(spec.a0, sys.a):
-                        check_thm33_identity(sys, sorted(b_set), gamma)
-                    for f in invariant_observables(spec.a0, sys.a):
-                        k = rng.randrange(sys.N)
-                        n = rng.randrange(sys.N)
-                        check_prop34_pairing(sys, f, k, n, gamma)
+                    for b_set in b_sets:
+                        check_thm33_identity(sys, b_set, gamma)
+                    for f in observables:
+                        check_prop34_pairings(sys, f, gamma)
         except CheckFailed as exc:
             failures.append(f"instance {i}: {exc}")
     return SuiteResult("coinduce_identities", count, tuple(failures))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from erglab import (
     TargetAction,
     ValidationError,
     check_prop34_pairing,
+    check_prop34_pairings,
     check_rho_cocycle,
     check_thm33_identity,
     choice_functions,
@@ -36,6 +38,7 @@ from erglab import (
     semidirect_mul,
 )
 from erglab.coinduce import _target_orbits
+from erglab.subrel import ChoiceSystem
 from erglab.coinduce import invariant_observables as _invariant_observables
 from erglab.coinduce import target_orbit_sets as _target_orbit_sets
 from erglab.verify import _doubled_target
@@ -773,3 +776,234 @@ def test_target_orbits_are_the_orbits_of_every_image(make, targets):
     for target in targets(a0):
         every = (target.perm(e.name) for e in a0.elements)
         assert _target_orbits(a0, target) == EqRel.from_perms(target.space.size, every).classes
+
+
+# -- the integer transport table against the scalar definition -------------------------
+
+
+def s3_on_two_copies():
+    """S_3 acting freely on two copies of itself by left multiplication
+    (two orbits), inside the ambient group of right multiplications and
+    the copy swap (one class): the nonabelian case, with two slots."""
+    elems = [Perm(p) for p in itertools.permutations(range(3))]
+    where = {e: i for i, e in enumerate(elems)}
+
+    def on_copies(f) -> Perm:
+        return Perm([c * 6 + where[f(e)] for c in (0, 1) for e in elems])
+
+    s, t = Perm((1, 0, 2)), Perm((0, 2, 1))
+    a0 = FreeGroupAction(
+        FinAction(
+            FinSpace(12),
+            [("s", on_copies(lambda e: s * e)), ("t", on_copies(lambda e: t * e))],
+            {"s": "s", "t": "t"},
+        )
+    )
+    swap = Perm([(x + 6) % 12 for x in range(12)])
+    b0 = FinAction(
+        FinSpace(12),
+        [("u", on_copies(lambda e: e * s)), ("v", on_copies(lambda e: e * t)), ("w", swap)],
+        {"u": "u", "v": "v", "w": "w"},
+    )
+    return a0, b0
+
+
+def _coinduce_ready_pair(m, idx):
+    spec = load_instance(make_coinduce_ready(m, idx)).coinduce
+    return spec.a0, spec.b0
+
+
+TABLE_CASES = [(4, 2), (6, 2), (9, 3), (8, 4), (12, 6), "s3"]
+
+
+def _table_system(case, convention, cap=None):
+    a0, b0 = s3_on_two_copies() if case == "s3" else _coinduce_ready_pair(*case)
+    cs = choice_functions(a0.orbit_relation(), orbit_relation(b0), convention)
+    target = TargetAction.trivial(a0, FinSpace(2))
+    return CoinducedSystem(a0, b0, target, cs, cap)
+
+
+@pytest.mark.parametrize("convention", ["min_up", "max_down"])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_transport_table_matches_the_scalar_definition(case, convention):
+    sys = _table_system(case, convention)
+    a0, cs = sys.a0, sys.cs
+    names = [e.name for e in a0.elements]
+    slots, deltas = sys.transport_table()
+    gammas = sys.b0.closure()
+    assert slots.shape == deltas.shape == (len(gammas), sys.x_size, sys.N)
+    # rows of b0's closure, and rows of a0's elements, which need not lie in it
+    maps = [g.perm for g in gammas] + [d.perm for d in a0.elements]
+    for i, g in enumerate(maps):
+        rows = sys.transport_rows(g)
+        if i < len(gammas):
+            assert np.array_equal(rows[0], slots[i]) and np.array_equal(rows[1], deltas[i])
+        for x in range(sys.x_size):
+            assert rows[0][x].tolist() == list(index_cocycle(cs, x, g(x)).images)
+            assert tuple(names[j] for j in rows[1][x]) == delta_bar(cs, a0, x, g(x))
+
+
+def test_the_nonabelian_case_has_noncommuting_transports():
+    """The S_3 table case only guards the product order of the transports
+    if its transport entries do not all commute."""
+    sys = _table_system("s3", "min_up")
+    used = {int(j) for j in np.unique(sys.transport_table()[1])}
+    a0 = sys.a0
+    names = [e.name for e in a0.elements]
+    assert any(
+        a0.mult(names[i], names[j]) != a0.mult(names[j], names[i]) for i in used for j in used
+    )
+    assert sys.N == 2 and len(sys.b0.closure()) == 12
+    assert check_rho_cocycle(sys) == 12 * 12 * 12
+
+
+def _first_cocycle_break(sys):
+    """The per-triple cocycle loop over the transport table's rows, read
+    as scalars: g1 outermost, then g2, then x."""
+    gammas = sys.b0.closure()
+    slots, deltas = sys.transport_table()
+    products = sys.b0.product_table()
+    names = [e.name for e in sys.a0.elements]
+
+    def rho(i, x):
+        return Perm(slots[i, x].tolist()), tuple(names[j] for j in deltas[i, x])
+
+    for i, g1 in enumerate(gammas):
+        for j, g2 in enumerate(gammas):
+            for x in range(sys.x_size):
+                y = g2.perm(x)
+                if rho(products[i, j], x) != semidirect_mul(sys.a0, rho(i, y), rho(j, x)):
+                    return g1.name, g2.name, x
+    return None
+
+
+@pytest.mark.parametrize("case", [(8, 4), (12, 6), "s3"])
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_a_corrupted_table_entry_fails_the_cocycle_where_the_triple_loop_does(case, entry):
+    sys = _table_system(case, "min_up")
+    assert _first_cocycle_break(sys) is None
+    slots, deltas = sys.transport_table()
+    rng = random.Random(entry)
+    i, x = rng.randrange(len(slots)), rng.randrange(sys.x_size)
+    if entry == 2:  # swap two slots: still a permutation, now the wrong one
+        slots.setflags(write=True)
+        slots[i, x] = np.roll(slots[i, x], 1)
+    else:
+        n = rng.randrange(sys.N)
+        deltas.setflags(write=True)
+        deltas[i, x, n] = (deltas[i, x, n] + 1) % sys.a0.size
+    first = _first_cocycle_break(sys)
+    assert first is not None
+    with pytest.raises(CheckFailed, match=re.escape("fails at (%s, %s, %d)" % first) + "$"):
+        check_rho_cocycle(sys)
+
+
+@pytest.mark.parametrize("case", [(8, 4), "s3"])
+def test_a_product_row_that_is_not_a_permutation_is_refused(case):
+    sys = _table_system(case, "min_up")
+    slots, _ = sys.transport_table()
+    slots.setflags(write=True)
+    slots[1, 0] = 0  # every slot of point 0 goes to slot 0
+    g = sys.b0.closure()[1].perm
+    for build in (sys.product_images, sys.product_perm):
+        message = r"not a permutation of 0\.\.%d: \(" % (sys.product_size - 1)
+        with pytest.raises(ValidationError, match=message):
+            build(g)
+    assert sys.product_images(sys.b0.closure()[2].perm).size == sys.product_size
+
+
+def _pairing_cases():
+    """(system, observables) with N = 1..4 slots, materialized and
+    factorized, and the sparse fold (target larger than the product)."""
+    for m, idx in ((4, 1), (4, 2), (6, 3), (8, 4)):
+        spec = load_instance(make_coinduce_ready(m, idx)).coinduce
+        target = _doubled_target(spec.a0, spec.a)
+        for cap in (None, 1):
+            system = coinduced_action(spec.a0, spec.b0, target, cap)
+            yield system, _invariant_observables(spec.a0, target)
+    b0 = shift_action(2)
+    a0 = FreeGroupAction(shift_action(2, label="d"))
+    yield coinduced_action(a0, b0, swap_target(a0, Perm((1, 0, 2)))), [[1, 1, -2]]
+
+
+def test_all_pairs_pairing_returns_the_one_pair_reports():
+    slot_counts = set()
+    for sys, observables in _pairing_cases():
+        slot_counts.add(sys.N)
+        assert observables
+        for gamma in sys.b0.closure():
+            for f in observables:
+                reports = check_prop34_pairings(sys, f, gamma.name)
+                assert list(reports) == list(itertools.product(range(sys.N), repeat=2))
+                for (k, n), rep in reports.items():
+                    assert rep == check_prop34_pairing(sys, f, k, n, gamma.name)
+                    assert (rep.lhs_materialized is None) == (not sys.materialized)
+    assert slot_counts == {1, 2, 3, 4}
+
+
+def test_all_pairs_pairing_validates_like_the_one_pair_call(z4_pair):
+    a0, b0 = z4_pair
+    sys = coinduced_action(a0, b0, swap_target(a0, Perm((1, 0))))
+    for f, message in (([1, -1], "not invariant"), ([1, 1], "zero mean"), ([1, 0, -1], "length")):
+        with pytest.raises(ValidationError, match=message):
+            check_prop34_pairings(sys, f, "g")
+    with pytest.raises(ValidationError, match="slot indices"):
+        check_prop34_pairings(sys, [0, 0], "g", [(0, 2)])
+
+
+def test_table_and_cocycle_with_noncommuting_slot_permutations():
+    """The canonical choice systems only rotate slots, and rotations
+    commute; a hand-made choice system on the natural S_3 action makes
+    the slot permutations a nonabelian family, so the order in which
+    the cocycle composes them is tested."""
+    b0 = FinAction(
+        FinSpace(3),
+        [("t", Perm((1, 0, 2))), ("c", Perm((1, 2, 0))), ("c_inv", Perm((2, 0, 1)))],
+        {"t": "t", "c": "c_inv", "c_inv": "c"},
+    )
+    a0 = FreeGroupAction(FinAction(FinSpace(3), [("d", Perm.identity(3))], {"d": "d"}))
+    choices = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+    cs = ChoiceSystem(a0.orbit_relation(), orbit_relation(b0), "hand", choices)
+    sys = CoinducedSystem(a0, b0, TargetAction.trivial(a0, FinSpace(2)), cs)
+    slots, _ = sys.transport_table()
+    perms = {Perm(row) for row in slots.reshape(-1, 3).tolist()}
+    assert any(p * q != q * p for p in perms for q in perms)
+    for g, rows in zip(b0.closure(), slots):
+        for x in range(3):
+            assert rows[x].tolist() == list(index_cocycle(cs, x, g.perm(x)).images)
+    assert check_rho_cocycle(sys) == 6 * 6 * 3
+
+
+@pytest.mark.parametrize("name", ["g^0", "g^1", "g^2", "g^3"])
+def test_the_action_law_is_checked_through_the_generators(z4_pair, monkeypatch, name):
+    """The law is checked on the identity and the generators' rows only;
+    a wrong product map anywhere in the closure still breaks it."""
+    a0, b0 = z4_pair
+    build = CoinducedSystem.product_images
+    bad = b0.element(name).perm.images
+
+    def corrupted(self, g):
+        images = build(self, g)
+        if g.images == bad:
+            images = images.copy()
+            images[[0, 1]] = images[[1, 0]]
+        return images
+
+    monkeypatch.setattr(CoinducedSystem, "product_images", corrupted)
+    with pytest.raises(CheckFailed, match="do not compose as an action"):
+        coinduced_action(a0, b0, swap_target(a0, Perm((1, 0))))
+
+
+def test_a_choice_system_finer_than_the_ambient_orbits(z4_pair):
+    """Ambient classes set by the choice system, not by b0: the cocycle
+    over b0's closure fails where b0 leaves a class, while an element
+    that keeps the classes still gets its own transport rows."""
+    a0, b0 = z4_pair
+    e_rel = a0.orbit_relation()
+    sys = CoinducedSystem(a0, b0, swap_target(a0, Perm((1, 0))), choice_functions(e_rel, e_rel))
+    with pytest.raises(ValidationError, match="0 and 1 are in different ambient classes"):
+        check_rho_cocycle(sys)
+    rep = check_thm33_identity(sys, [0, 1], "g^2")
+    assert rep.lhs_factorized == rep.lhs_materialized == rep.rhs
+    with pytest.raises(ValidationError, match="preserve each ambient class"):
+        check_thm33_identity(sys, [0, 1], "g")

@@ -730,3 +730,29 @@ def test_rep_reports_the_first_broken_pair():
     for images in (perm_images, mats):
         with pytest.raises(ValidationError, match=r"multiplicativity at \(%s, %s\)" % first):
             FiniteRep(act, images)
+
+
+def s4_action() -> FinAction:
+    t = Perm.from_cycles(4, [(0, 1)])
+    c = Perm.from_cycles(4, [(0, 1, 2, 3)])
+    return FinAction(
+        FinSpace(4),
+        [("t", t), ("c", c), ("c_inv", c.inverse())],
+        {"t": "t", "c": "c_inv", "c_inv": "c"},
+    )
+
+
+@pytest.mark.parametrize("make", [s4_action, klein_action, lambda: shift_action(12)])
+@pytest.mark.parametrize("kind", ["natural", "regular"])
+def test_built_reps_pass_the_pair_check_they_skip(make, kind):
+    """natural and regular skip the all-pairs homomorphism check; run it
+    here as an oracle, and show it is live on a corrupted copy."""
+    act = make()
+    rep = FiniteRep.natural(act) if kind == "natural" else FiniteRep.regular(act)
+    elems = act.closure()
+    rep._check_multiplicative()
+    images = {e.name: rep._images[e.name] for e in elems}
+    assert images == dict(FiniteRep(act, images)._images)
+    images[elems[1].name] = images[elems[0].name]
+    with pytest.raises(ValidationError, match="multiplicativity"):
+        FiniteRep(act, images)

@@ -90,3 +90,57 @@ def test_the_guard_sees_product_lookups(tmp_path):
         "mod.py:2 calls name_of on a product",
         "mod.py:3 calls element_of on a product",
     ]
+
+
+_SCALAR_TRANSPORT = ("rho", "semidirect_mul", "delta_bar", "index_cocycle")
+
+
+def _scalar_transport_calls(path: Path) -> list[str]:
+    """Calls of the per-point transport (`.rho(`, `semidirect_mul`,
+    `delta_bar`, `index_cocycle`) inside the `check_*` functions and
+    `coinduced_action`, which read the transport table instead."""
+    found = []
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if not (fn.name.startswith("check_") or fn.name == "coinduced_action"):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+                if name == "rho":  # only the method counts as `.rho(`
+                    continue
+            if name in _SCALAR_TRANSPORT:
+                found.append(f"{path.name}:{node.lineno} {fn.name} calls {name}")
+    return found
+
+
+def test_coinduce_checks_do_not_take_the_per_point_transport():
+    assert _scalar_transport_calls(PACKAGE / "coinduce.py") == []
+
+
+def test_the_guard_sees_per_point_transport_calls(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def check_a(sys):\n"
+        "    return sys.rho(0, 1)\n"
+        "def coinduced_action(a0):\n"
+        "    return semidirect_mul(a0, p, q), subrel.index_cocycle(cs, 0, 1)\n"
+        "def check_b(cs, a0):\n"
+        "    return [delta_bar(cs, a0, x, x) for x in range(3)]\n"
+        "def point_map(sys):\n"
+        "    return sys.rho(0, 1), delta_bar(cs, a0, 0, 1)\n"
+        "def check_c(rho):\n"
+        "    return rho(0)\n"
+    )
+    assert _scalar_transport_calls(src) == [
+        "mod.py:2 check_a calls rho",
+        "mod.py:4 coinduced_action calls semidirect_mul",
+        "mod.py:4 coinduced_action calls index_cocycle",
+        "mod.py:6 check_b calls delta_bar",
+    ]
