@@ -376,9 +376,9 @@ class FinAction:
 
     The action owns the one lookup table over its closure: `closure()`
     indexes each element by name and by permutation, and `element`,
-    `element_of`, `resolve` and `fixing_element` read that table, so no
-    other module keeps its own map from a name or a permutation to an
-    element.
+    `index_of`, `element_of`, `resolve` and `fixing_element` read that
+    table, so no other module keeps its own map from a name or a
+    permutation to an element.
     """
 
     def __init__(
@@ -409,9 +409,9 @@ class FinAction:
         self._by_label = by_label
         self._closure: tuple[GroupElement, ...] | None = None
         self._by_name: dict[str, GroupElement] = {}
-        self._by_images: dict[tuple[int, ...], GroupElement] = {}
+        self._by_images: dict[tuple[int, ...], int] = {}
         self._images: np.ndarray | None = None
-        self._steps: list[list[int]] = []
+        self._steps: np.ndarray | None = None
         self._products: np.ndarray | None = None
 
     @property
@@ -471,8 +471,9 @@ class FinAction:
             steps = [[power[row[i]] for i in bfs] for row in steps]  # in power order
         else:
             elems = [GroupElement(_word_name(w), p, w) for p, w in zip(queue, words)]
-        self._by_images = {e.perm.images: e for e in elems}
-        self._steps = steps
+        self._by_images = {e.perm.images: k for k, e in enumerate(elems)}
+        self._steps = np.array(steps, dtype=np.intp).reshape(len(steps), len(elems))
+        self._steps.setflags(write=False)
         self._by_name = {e.name: e for e in elems}
         self._closure = tuple(elems)
         return self._closure
@@ -485,13 +486,17 @@ class FinAction:
         except KeyError:
             raise ValidationError(f"no closure element named {name!r}") from None
 
-    def element_of(self, perm: Perm) -> GroupElement:
-        """The closure element acting by this permutation."""
+    def index_of(self, perm: Perm) -> int:
+        """The closure index of the element acting by this permutation."""
         self.closure()
         try:
             return self._by_images[perm.images]
         except KeyError:
             raise ValidationError("permutation is not an element of the closure") from None
+
+    def element_of(self, perm: Perm) -> GroupElement:
+        """The closure element acting by this permutation."""
+        return self._closure[self.index_of(perm)]
 
     def resolve(self, gamma) -> Perm:
         """A generator label or closure name as its permutation; a
@@ -512,18 +517,23 @@ class FinAction:
             self._images.setflags(write=False)
         return self._images
 
+    def step_table(self) -> np.ndarray:
+        """The closure search's (generators x N) step table, read-only:
+        entry (s, i) is the index of g_s * e_i, in closure order."""
+        self.closure()
+        return self._steps
+
     def product_table(self) -> np.ndarray:
         """The closure's multiplication table: entry (i, j) is the index of
         element i times element j, (e_i * e_j)(x) = e_i(e_j(x)).
 
-        Composed once per action from the closure search's step table,
-        steps[s][i] = index of g_s * e_i: row 0 is 0..N-1, and when
-        e_k = g_s * e_i, row k is steps[s] at row i, since
+        Composed once per action from the step table: row 0 is 0..N-1,
+        and when e_k = g_s * e_i, row k is steps[s] at row i, since
         e_k * e_j = g_s * (e_i * e_j): N row gathers and no search.
         """
         if self._products is None:
             n = len(self.closure())
-            steps = np.array(self._steps, dtype=np.intp).reshape(-1, n)
+            steps = self.step_table()
             products = np.empty((n, n), dtype=np.intp)
             products[0] = np.arange(n)
             # e_k = g_s * e_i at the first (i, s) with steps[s][i] = k; for

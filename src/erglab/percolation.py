@@ -1,18 +1,19 @@
 """Cayley-graph balls, Bernoulli bond percolation, cluster statistics,
 the exact action-to-configuration dictionary, and word-length scales.
 
-Group models are duck-typed: identity() / mul / inv / key / render plus
-a name. Balls use the left Cayley graph (edges {v, sv} for generators
-s) so that right translation acts on configurations; the dictionary
-checks depend on that orientation.
+Group models give identity() / mul / inv / key / render plus a name.
+Balls use the left Cayley graph (edges {v, sv} for generators s) so
+that right translation acts on configurations; the dictionary checks
+depend on that orientation.
 
-Balls over the standard generators of Z^d (at any rank) and of free
-groups are built level by level and kept on arrays (mixed-radix point
-codes, int64 or Python ints; free words as parent index and first
-letter), and their vertex tuples are decoded only when
-`CayleyBall.vertices` is read; other generating sets use a generic
-breadth-first search, which is also the tests' oracle for the array
-builds. Both give the same vertex order.
+Balls are built for the standard generators of Z^d (at any rank) and of
+free groups level by level (mixed-radix point codes, int64 or Python
+ints; free words as parent index and first letter), and for any
+generators of a `PermGroupModel` off the closure tables of the
+`FinAction` they generate; other generating sets are refused. Each build
+keeps its vertices on arrays, decodes their tuples only when
+`CayleyBall.vertices` is read, and gives the vertex order of a
+breadth-first search, which the tests keep as their oracle.
 
 Clusters have one reference labeller: `cluster_labels` reads min-member
 labels off the union-find (`EqRel.from_pairs`), and `cluster_stats`
@@ -37,7 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
-from .ergcore import EqRel, FinAction, Perm, phi
+from .ergcore import EqRel, FinAction, FinSpace, Perm, phi
 from .rng import IndexDraw, uniforms
 
 
@@ -154,31 +155,6 @@ class PermGroupModel:
         )
 
 
-class ProductModel:
-    """Direct product of group models; elements are tuples of factors."""
-
-    def __init__(self, factors: Sequence):
-        if not factors:
-            raise ValidationError("a product needs at least one factor")
-        self.factors = tuple(factors)
-        self.name = " x ".join(f.name for f in self.factors)
-
-    def identity(self) -> tuple:
-        return tuple(f.identity() for f in self.factors)
-
-    def mul(self, a, b) -> tuple:
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def inv(self, a) -> tuple:
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
-
-    def key(self, a):
-        return tuple(f.key(x) for f, x in zip(self.factors, a))
-
-    def render(self, a) -> str:
-        return "(" + " | ".join(f.render(x) for f, x in zip(self.factors, a)) + ")"
-
-
 # -- Cayley balls --------------------------------------------------------------
 
 
@@ -190,8 +166,8 @@ class CayleyBall:
     the boundary is the tail range(b, vertex_count) of the indices (empty
     when the ball stops growing before its radius), and kernels slice it.
 
-    The ball keeps its vertices in a store (`_VertexList`, `_FreeWords`
-    or `_ZdCodes`) that finds a vertex's index and decodes the vertex
+    The ball keeps its vertices in a store (`_ZdCodes`, `_FreeWords` or
+    `_ClosureRows`) that finds a vertex's index and decodes the vertex
     elements. `vertices` is the tuple of those elements, decoded on its
     first read; sweeps and configurations never read it. There is no
     lookup from a vertex pair to its edge: `edges` is sorted, so callers
@@ -274,23 +250,6 @@ class CayleyBall:
         return self._forest
 
 
-class _VertexList:
-    """Vertex elements listed in ball order, with their index by key."""
-
-    def __init__(self, vertices: tuple, order: dict):
-        self.vertices = vertices
-        self.order = order
-
-    def decode(self) -> tuple:
-        return self.vertices
-
-    def index(self, key) -> int:
-        try:
-            return self.order[key]
-        except KeyError:
-            raise ValidationError("target outside ball") from None
-
-
 class _FreeWords:
     """Reduced words over the standard free letters, stored as arrays:
     word i is (first[i],) + word(parent[i]), and word 0 is the identity.
@@ -368,6 +327,31 @@ class _ZdCodes:
         return j
 
 
+class _ClosureRows:
+    """Elements of a `FinAction`'s closure in ball order: vertex v is
+    closure element order[v], and element k is vertex pos[k], a vertex of
+    this ball when pos[k] < len(order). A key is resolved through the
+    closure's own image index (`FinAction.index_of`)."""
+
+    def __init__(self, action: FinAction, order: np.ndarray, pos: np.ndarray):
+        self.action = action
+        self.order = order
+        self.pos = pos
+
+    def decode(self) -> tuple:
+        closure = self.action.closure()
+        return tuple(closure[k].perm for k in self.order.tolist())
+
+    def index(self, key) -> int:
+        try:
+            v = int(self.pos[self.action.index_of(Perm(key))])
+        except ValueError:  # not a permutation, or not in the closure
+            raise ValidationError("target outside ball") from None
+        if v >= len(self.order):
+            raise ValidationError("target outside ball")
+        return v
+
+
 def _close_generators(model, q) -> list:
     idk = model.key(model.identity())
     seen: dict = {}
@@ -383,28 +367,29 @@ def _close_generators(model, q) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
-def _standard_kind(model, qc: list) -> str | None:
+def _ball_kind(model, qc: list) -> str:
     """"zd" or "free" when the closed generator set qc is the standard
     one of a Z^d or free-group model (the ±e_i, or the letters and their
-    inverses), else None. Distinct keys are compared by equality, so 2d
-    unit vectors (2k letters) are the whole standard set; no generator
-    list is built."""
+    inverses), "perm" for a `PermGroupModel`; anything else is refused.
+    Distinct keys are compared by equality, so 2d unit vectors (2k
+    letters) are the whole standard set; no generator list is built."""
+    if isinstance(model, PermGroupModel):
+        return "perm"
     keys = {model.key(s) for s in qc}
     if isinstance(model, ZdModel) and len(keys) == 2 * model.d:
-        for key in keys:
-            nonzero = [c for c in key if c != 0]
-            if len(key) != model.d or len(nonzero) != 1 or nonzero[0] not in (1, -1):
-                return None
-        return "zd"
+        if all(len(key) == model.d and [c for c in key if c != 0] in ([1], [-1]) for key in keys):
+            return "zd"
     if isinstance(model, FreeModel) and len(keys) == 2 * model.k:
         letters = range(-model.k, model.k + 1)
         if all(len(key) == 1 and key[0] != 0 and key[0] in letters for key in keys):
             return "free"
-    return None
+    raise ValidationError(
+        "balls are built for the standard generators of Z^d and F_k, and for a PermGroupModel"
+    )
 
 
 def _check_ball_cap(size: int, capn: int) -> None:
-    """Raise as the breadth-first build does when a ball of `size` vertices
+    """Raise as a breadth-first build does when a ball of `size` vertices
     outgrows the cap. That build counts the vertex it is about to add and
     never counts the identity, so the least count it reports is 2."""
     lim = max(capn, 1)
@@ -413,23 +398,22 @@ def _check_ball_cap(size: int, capn: int) -> None:
 
 
 def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
-    """Breadth-first word-length ball of radius r for generators q.
+    """Word-length ball of radius r for generators q.
 
     q is closed under inversion automatically; vertex order is
     (distance, canonical key), deterministic across runs. The standard
-    generators of Z^d (at every rank) and of free groups take array
-    builds (`_zd_ball`, `_free_ball`) that give the same ball; they store
-    vertices as arrays, so `index_of` is an array search and `vertices`
-    is decoded on its first read. Other generating sets (the public
-    `PermGroupModel` and `ProductModel`, or non-standard generators) take
-    the breadth-first search, which lists the vertex elements and indexes
-    them by key; no `erglab percolate` or `sweep` model reaches it.
+    generators of Z^d (at every rank) and of free groups take the level
+    builds `_zd_ball` and `_free_ball`. Any generators of a
+    `PermGroupModel` take `_closure_ball`, a prefix of the Cayley graph
+    of the whole group they generate, which must fit the `closure` cap.
+    Any other model or generating set raises ValidationError. Vertices
+    are stored as arrays, and `vertices` is decoded on its first read.
     """
     if r < 0:
         raise ValidationError("radius must be non-negative")
     capn = get_cap("ball", cap)
     qc = _close_generators(model, q)
-    kind = _standard_kind(model, qc)
+    kind = _ball_kind(model, qc)
     if kind == "free":
         return _free_ball(model, qc, r, capn)
     if kind == "zd":
@@ -437,47 +421,15 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
         # grows with r
         _check_ball_cap(_zd_ball_size(model.d, r), capn)
         return _zd_ball(model, qc, r)
-    ident = model.identity()
-    vertices = [ident]
-    dist = {model.key(ident): 0}
-    order = {model.key(ident): 0}
-    frontier = [ident]
-    distances = [0]
-    for d in range(1, r + 1):
-        nxt: dict = {}
-        for v in frontier:
-            for s in qc:
-                w = model.mul(s, v)
-                k = model.key(w)
-                if k in dist or k in nxt:
-                    continue
-                if len(dist) + len(nxt) + 1 > capn:
-                    raise CapExceeded("ball", len(dist) + len(nxt) + 1, capn)
-                nxt[k] = w
-        frontier = [nxt[k] for k in sorted(nxt)]
-        for w in frontier:
-            k = model.key(w)
-            dist[k] = d
-            order[k] = len(vertices)
-            vertices.append(w)
-            distances.append(d)
-    edges = set()
-    for i, v in enumerate(vertices):
-        for s in qc:
-            j = order.get(model.key(model.mul(s, v)))
-            if j is not None and i != j:
-                edges.add((min(i, j), max(i, j)))
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    dist_arr = np.array(distances, dtype=np.int64)
-    return CayleyBall(
-        model=model,
-        q=tuple(qc),
-        radius=r,
-        distances=dist_arr,
-        edges=edge_arr,
-        boundary=range(int(np.searchsorted(dist_arr, r)), len(vertices)),
-        _store=_VertexList(tuple(vertices), order),
+    # generators are labelled by position; qc is closed under inversion
+    action = FinAction(
+        FinSpace(model.degree),
+        [(str(i), g) for i, g in enumerate(qc)],
+        {str(i): str(qc.index(model.inv(g))) for i, g in enumerate(qc)},
     )
+    ball = _closure_ball(action, r)
+    _check_ball_cap(ball.vertex_count, capn)
+    return ball
 
 
 def _zd_ball_size(d: int, r: int) -> int:
@@ -570,6 +522,64 @@ def _free_ball(model: FreeModel, qc: list, r: int, capn: int) -> CayleyBall:
         edges=np.stack([parent[1:][order], order + 1], axis=1),
         boundary=range(n - sizes[-1], n),
         _store=_FreeWords(tuple(letters), parent, np.concatenate(firsts), starts),
+    )
+
+
+def _closure_ball(action: FinAction, r: int) -> CayleyBall:
+    """The radius-r ball of the left Cayley graph of the action's closure:
+    the whole graph is read off the closure tables, and the ball is its
+    prefix.
+
+    Distances are the breadth-first levels of the step table (a
+    single-pair closure names its elements by powers, not shortest
+    words). Vertices are sorted by (distance, image row), the public
+    order, so closure element k is vertex pos[k]. The edges are the steps
+    {pos[i], pos[steps[s, i]]}, sorted within each row and made unique;
+    none is a loop, as the identity is refused as a generator.
+    """
+    model = PermGroupModel(action.space.size)
+    qc = _close_generators(model, [g for _, g in action.gens])
+    images, steps = action.closure_images(), action.step_table()
+    n = len(images)
+    dist, queue, rows = [0] + [-1] * (n - 1), [0], steps.T.tolist()
+    for i in queue:  # the queue grows as it is read
+        for j in rows[i]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    if len(queue) < n:
+        raise CheckFailed("closure graph does not cover the closure")
+    order = np.lexsort((*images.T[::-1], dist))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    # each step's ends, the lower first, coded as lower * n + upper
+    ends = np.sort(pos[np.stack(np.broadcast_arrays(np.arange(n), steps))], axis=0)
+    edges = np.stack(np.divmod(np.unique(ends[0] * n + ends[1]), n), axis=1)
+    whole = CayleyBall(
+        model=model,
+        q=tuple(qc),
+        radius=n,  # no element lies that far out
+        distances=np.array(dist, dtype=np.int64)[order],
+        edges=edges,
+        boundary=range(n, n),
+        _store=_ClosureRows(action, order, pos),
+    )
+    return _ball_prefix(whole, r)
+
+
+def _ball_prefix(ball: CayleyBall, r: int) -> CayleyBall:
+    """The radius-r ball inside a closure ball. Distances are sorted, so
+    its vertices are the first ones, up to distance r, and its edges are
+    those whose larger end, the second of the row, lies among them."""
+    n = int(np.searchsorted(ball.distances, r, "right"))
+    return CayleyBall(
+        model=ball.model,
+        q=ball.q,
+        radius=r,
+        distances=ball.distances[:n],
+        edges=ball.edges[ball.edges[:, 1] < n],
+        boundary=range(int(np.searchsorted(ball.distances, r)), n),
+        _store=_ClosureRows(ball._store.action, ball._store.order[:n], ball._store.pos),
     )
 
 
@@ -948,9 +958,9 @@ class PhiDictionary:
     bond configurations on the Cayley graph of its closure.
 
     `full_ball` is that whole graph and `sample_ball` its radius-r ball,
-    whose vertices are a prefix of the full ball's. configs[x] is point
-    x's full configuration restricted to the sample ball's edges, which
-    keep the full ball's edge order.
+    the prefix of the full ball's vertices up to distance r. configs[x]
+    is point x's full configuration restricted to the sample ball's
+    edges, which keep the full ball's edge order.
     """
 
     sample_ball: CayleyBall
@@ -976,12 +986,15 @@ def action_to_percolation(
     capture value of every closure element with the probability that
     its vertex joins the identity cluster.
 
-    The full ball fixes the vertex and edge order; the rest is read off
-    the closure tables (`closure_images`, `product_table`). The sample
-    configurations are the full ones restricted to the radius-r ball.
+    The full ball, built once from the closure tables, fixes the vertex
+    and edge order; the rest is read off the same tables. The sample
+    ball is its radius-r prefix, and the sample configurations are the
+    full ones restricted to it.
     """
     if isinstance(r, bool) or not isinstance(r, numbers.Integral):
         raise ValidationError(f"radius must be an integer, not {r!r}")
+    if r < 0:
+        raise ValidationError("radius must be non-negative")
     m = action.space.size
     labels = action.labels
     if set(a_sets) != set(labels):
@@ -1011,32 +1024,25 @@ def action_to_percolation(
             f"closure element {fixer.name} fixes a point; the dictionary needs a free action"
         )
     closure = action.closure()
-    qs = [action.generator(lab) for lab in labels]
-    seen_perms = {}
-    for lab, g in zip(labels, qs):
-        if g.images in seen_perms:
-            raise ValidationError(
-                f"generators {seen_perms[g.images]!r} and {lab!r} coincide"
-            )
-        seen_perms[g.images] = lab
+    # generator s is closure element steps[s, 0], as element 0 is the identity
+    gens = action.step_table()[:, 0].tolist()
+    for j, k in enumerate(gens):
+        first = gens.index(k)
+        if first < j:
+            raise ValidationError(f"generators {labels[first]!r} and {labels[j]!r} coincide")
 
-    model = PermGroupModel(m)
-    full_ball = cayley_ball(model, qs, len(closure))
-    if full_ball.vertex_count != len(closure):
-        raise CheckFailed("closure graph does not cover the closure")
-    sample_ball = full_ball if r >= full_ball.radius else cayley_ball(model, qs, r)
-    e_rel = EqRel.from_pairs(m, [(x, g(x)) for lab, g in zip(labels, qs) for x in sets[lab]])
+    full_ball = _closure_ball(action, len(closure))
+    sample_ball = full_ball if r >= full_ball.radius else _ball_prefix(full_ball, r)
+    pairs = [(x, action.generator(lab)(x)) for lab in labels for x in sets[lab]]
+    e_rel = EqRel.from_pairs(m, pairs)
 
     images, products = action.closure_images(), action.product_table()
     # closure element k is ball vertex pos[k], and vertex v is element at[v]
-    pos = np.array([full_ball.index_of(e.perm) for e in closure], dtype=np.intp)
-    at = np.argsort(pos)
+    pos, at = full_ball._store.pos, full_ball._store.order
     # edge (v, w) joins a = at[v] to b = s a for s = b a^-1, a generator
-    # (the identity is element 0)
     ends = at[full_ball.edges]
     a, b = ends.T
     s = products[b, np.argmin(products, axis=1)[a]]
-    gens = at[[full_ball.index_of(g) for g in qs]]
     if not np.isin(s, gens).all():
         raise CheckFailed("edge without a generator decomposition")
     marks = np.zeros((len(closure), m), dtype=bool)  # row s holds A_s
@@ -1046,10 +1052,7 @@ def action_to_percolation(
     # as the marked sets are compatible
     bits = marks[s, images[a].T]
 
-    keep = full_ball.edges[:, 1] < sample_ball.vertex_count
-    if not np.array_equal(full_ball.edges[keep], sample_ball.edges):
-        raise CheckFailed("sample ball is not a prefix of the closure graph")
-    configs = tuple(bits[:, keep])
+    configs = tuple(bits[:, full_ball.edges[:, 1] < sample_ball.vertex_count])
 
     # equivariance under right translation: element k moves vertex v to
     # pos[products[at[v], k]]; the edges are sorted, so are their codes
@@ -1094,10 +1097,8 @@ def action_to_percolation(
 # -- word-length scales -----------------------------------------------------------------
 
 
-# Largest scale level n that `LengthSystem.length` searches, and largest
-# ball radius that its breadth-first word length grows to.
+# Largest scale level n that `LengthSystem.length` searches.
 MAX_LENGTH_LEVEL = 64
-WORDLENGTH_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -1111,7 +1112,9 @@ class LengthSystem:
     for a strictly admissible sequence a_{n+1} > n * a_n; f = 1/(|g|+1).
 
     Word length is closed-form for the standard generators of Z^d and
-    free groups, and breadth-first otherwise.
+    free groups. For a `PermGroupModel` it is read off the `cayley_ball`
+    of the whole generated group, built once; `cap` is its ball cap.
+    Other generating sets are refused, as `cayley_ball` refuses them.
     """
 
     def __init__(
@@ -1138,8 +1141,8 @@ class LengthSystem:
         else:
             self._a = [1]
             self._default = True
-        self._closed_form = _standard_kind(model, self.q)
-        self._wl_cache: dict = {}
+        self._kind = _ball_kind(model, self.q)
+        self._ball: CayleyBall | None = None
 
     def a(self, n: int) -> int:
         """1-based scale value a_n (default a_1 = 1, a_{n+1} = n*a_n + 1)."""
@@ -1153,32 +1156,17 @@ class LengthSystem:
         return self._a[n - 1]
 
     def wordlength(self, gamma) -> int:
-        if self._closed_form == "zd":
+        if self._kind == "zd":
             return sum(abs(c) for c in gamma)
-        if self._closed_form == "free":
+        if self._kind == "free":
             return len(gamma)
-        k = self.model.key(gamma)
-        if k == self.model.key(self.model.identity()):
-            return 0
-        if k in self._wl_cache:
-            return self._wl_cache[k]
-        r = 1
-        prev_size = 1
-        while True:
-            ball = cayley_ball(self.model, self.q, r, cap=self._cap)
-            try:
-                d = int(ball.distances[ball.index_of(gamma)])
-            except ValidationError:
-                d = None
-            if d is not None:
-                self._wl_cache[k] = d
-                return d
-            if ball.vertex_count == prev_size:
-                raise ValidationError("element is not generated by the given set")
-            prev_size = ball.vertex_count
-            if r >= WORDLENGTH_BUDGET:
-                raise CapExceeded("wordlength", 2 * r, WORDLENGTH_BUDGET)
-            r = min(WORDLENGTH_BUDGET, 2 * r)
+        if self._ball is None:
+            # the group fits the closure cap, so no distance reaches it
+            self._ball = cayley_ball(self.model, self.q, get_cap("closure"), self._cap)
+        try:
+            return int(self._ball.distances[self._ball.index_of(gamma)])
+        except ValidationError:
+            raise ValidationError("element is not generated by the given set") from None
 
     def length(self, gamma) -> int:
         wl = self.wordlength(gamma)

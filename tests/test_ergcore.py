@@ -702,7 +702,8 @@ def _two_involution_action() -> FinAction:
 )
 def test_action_element_of_and_resolve_read_the_closure_table(act):
     elems = act.closure()
-    for e in elems:
+    for k, e in enumerate(elems):
+        assert act.index_of(e.perm) == k
         assert act.element_of(e.perm) is e
         assert act.element(e.name) is e
         assert act.resolve(e.name) == e.perm
@@ -713,6 +714,8 @@ def test_action_element_of_and_resolve_read_the_closure_table(act):
     assert outside.images not in {e.perm.images for e in elems}
     with pytest.raises(ValidationError):
         act.element_of(outside)
+    with pytest.raises(ValidationError):
+        act.index_of(outside)
     with pytest.raises(ValidationError):
         act.resolve(0)
     with pytest.raises(ValidationError):
@@ -807,6 +810,11 @@ def _assert_product_table_matches_element_of(act: FinAction) -> None:
     elems = act.closure()
     images = act.closure_images()
     assert [tuple(row) for row in images.tolist()] == [e.perm.images for e in elems]
+    # step (s, i) is the index of g_s * e_i
+    steps = act.step_table()
+    assert steps.shape == (len(act.gens), len(elems)) and not steps.flags.writeable
+    for (_, g), row in zip(act.gens, steps.tolist()):
+        assert [elems[k].perm for k in row] == [g * e.perm for e in elems]
     table = act.product_table()
     assert table.shape == (len(elems), len(elems))
     for i, a in enumerate(elems):

@@ -144,3 +144,34 @@ def test_the_guard_sees_per_point_transport_calls(tmp_path):
         "mod.py:4 coinduced_action calls index_cocycle",
         "mod.py:6 check_b calls delta_bar",
     ]
+
+
+def _model_products(path: Path) -> list[str]:
+    """Calls of a `.mul(` method: a group-model product, the step of a
+    search over a group model, where the closure tables already hold the
+    Cayley graph. Definitions of `mul` and bare `mul(` calls do not count."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "mul":
+                found.append(node.lineno)
+    return [f"{path.name}:{line} calls .mul" for line in sorted(found)]
+
+
+def test_percolation_makes_no_group_model_product():
+    assert _model_products(PACKAGE / "percolation.py") == []
+
+
+def test_the_guard_sees_model_products(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "class M:\n"
+        "    def mul(self, a, b):\n"
+        "        return a * b\n"
+        "def search(model, s, v):\n"
+        "    return model.key(model.mul(s, v))\n"
+        "w = mul(a, b)\n"
+        "x = np.multiply(a, b)\n"
+        "y = self.factors[0].mul(a, b)\n"
+    )
+    assert _model_products(src) == ["mod.py:5 calls .mul", "mod.py:8 calls .mul"]

@@ -16,6 +16,7 @@ import pytest
 import erglab
 from erglab import (
     CapExceeded,
+    CayleyBall,
     CheckFailed,
     FinAction,
     FinSpace,
@@ -23,7 +24,6 @@ from erglab import (
     LengthSystem,
     Perm,
     PermGroupModel,
-    ProductModel,
     ValidationError,
     ZdModel,
     action_to_percolation,
@@ -36,7 +36,8 @@ from erglab import (
     sweep,
 )
 from erglab import percolation
-from erglab.percolation import _contract_chunk, _FreeWords, _ZdCodes
+from erglab.errors import get_cap
+from erglab.percolation import _close_generators, _contract_chunk, _FreeWords, _ZdCodes
 from erglab.rng import GOLDEN, MASK64, IndexDraw, mix64, stream_key, uniform_at, uniforms
 
 
@@ -126,15 +127,6 @@ def test_perm_model_ops():
     assert pm.render(pm.identity()) == "e"
 
 
-def test_product_model_ops():
-    pm = ProductModel([ZdModel(1), FreeModel(1)])
-    e = pm.identity()
-    g = ((1,), (1,))
-    assert pm.mul(g, g) == ((2,), (1, 1))
-    assert pm.mul(g, pm.inv(g)) == e
-    assert "|" in pm.render(g)
-
-
 def test_group_axioms_on_sampled_triples():
     rng = random.Random(11)
     fm = FreeModel(2)
@@ -176,27 +168,102 @@ def test_radius_zero_ball():
     assert tuple(ball.boundary) == (0,)
 
 
-class _Delegate:
-    """Duck-typed copy of a model that dodges isinstance dispatch."""
+class _VertexList:
+    """Vertex elements listed in ball order, with their index by key."""
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.name = inner.name
+    def __init__(self, vertices: tuple, order: dict):
+        self.vertices = vertices
+        self.order = order
 
-    def identity(self):
-        return self._inner.identity()
+    def decode(self) -> tuple:
+        return self.vertices
 
-    def mul(self, a, b):
-        return self._inner.mul(a, b)
+    def index(self, key) -> int:
+        try:
+            return self.order[key]
+        except KeyError:
+            raise ValidationError("target outside ball") from None
 
-    def inv(self, a):
-        return self._inner.inv(a)
 
-    def key(self, a):
-        return self._inner.key(a)
+def _bfs_ball(model, q, r: int, cap: int | None) -> CayleyBall:
+    """The breadth-first word-length ball over model products, with the
+    ball cap counted vertex by vertex: the oracle of every `cayley_ball`
+    build, for any model."""
+    if r < 0:
+        raise ValidationError("radius must be non-negative")
+    capn = get_cap("ball", cap)
+    qc = _close_generators(model, q)
+    ident = model.identity()
+    vertices = [ident]
+    dist = {model.key(ident): 0}
+    order = {model.key(ident): 0}
+    frontier = [ident]
+    distances = [0]
+    for d in range(1, r + 1):
+        nxt: dict = {}
+        for v in frontier:
+            for s in qc:
+                w = model.mul(s, v)
+                k = model.key(w)
+                if k in dist or k in nxt:
+                    continue
+                if len(dist) + len(nxt) + 1 > capn:
+                    raise CapExceeded("ball", len(dist) + len(nxt) + 1, capn)
+                nxt[k] = w
+        frontier = [nxt[k] for k in sorted(nxt)]
+        for w in frontier:
+            k = model.key(w)
+            dist[k] = d
+            order[k] = len(vertices)
+            vertices.append(w)
+            distances.append(d)
+    edges = set()
+    for i, v in enumerate(vertices):
+        for s in qc:
+            j = order.get(model.key(model.mul(s, v)))
+            if j is not None and i != j:
+                edges.add((min(i, j), max(i, j)))
+    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    dist_arr = np.array(distances, dtype=np.int64)
+    return CayleyBall(
+        model=model,
+        q=tuple(qc),
+        radius=r,
+        distances=dist_arr,
+        edges=edge_arr,
+        boundary=range(int(np.searchsorted(dist_arr, r)), len(vertices)),
+        _store=_VertexList(tuple(vertices), order),
+    )
 
-    def render(self, a):
-        return self._inner.render(a)
+
+def _assert_same_ball(got, want):
+    """Equal balls: description, distances, edges (dtype too), boundary,
+    vertices, and `index_of` on every vertex."""
+    assert got.description() == want.description()
+    assert got.distances.dtype == want.distances.dtype
+    assert np.array_equal(got.distances, want.distances)
+    assert got.edges.dtype == want.edges.dtype
+    assert got.edges.shape == want.edges.shape
+    assert np.array_equal(got.edges, want.edges)
+    assert got.boundary == want.boundary
+    assert got.vertices == want.vertices
+    assert [got.index_of(v) for v in want.vertices] == list(range(want.vertex_count))
+
+
+def _cap_outcomes(model, gens, r, caps):
+    """Per cap, what `cayley_ball` and the oracle raise: None, or the
+    CapExceeded fields."""
+    outcomes = []
+    for cap in caps:
+        raised = []
+        for build in (cayley_ball, _bfs_ball):
+            try:
+                build(model, gens, r, cap)
+                raised.append(None)
+            except CapExceeded as exc:
+                raised.append((exc.cap_name, exc.needed, exc.cap))
+        outcomes.append(raised)
+    return outcomes
 
 
 @pytest.mark.parametrize(
@@ -205,35 +272,21 @@ class _Delegate:
     ids=lambda m: m.name,
 )
 def test_array_balls_match_generic(model):
-    # the Z^d and free array builds against the breadth-first build; at
+    # the Z^d and free array builds against the breadth-first oracle; at
     # ranks 40 and 64 the Z^d codes leave int64 from radius 1 on
     if isinstance(model, ZdModel):
         radii = {40: range(3), 64: range(2)}.get(model.d, range(7))
         gens = model.basis_generators()
     else:
         gens, radii = model.letter_generators(), range(6)
-    plain = _Delegate(model)
     for r in radii:
-        fast = cayley_ball(model, gens, r)
-        generic = cayley_ball(plain, gens, r)
-        assert fast.vertices == generic.vertices
-        assert fast.edges.dtype == generic.edges.dtype
-        assert fast.edges.shape == generic.edges.shape
-        assert np.array_equal(fast.edges, generic.edges)
-        assert np.array_equal(fast.distances, generic.distances)
-        assert fast.boundary == generic.boundary
-        assert [fast.index_of(v) for v in generic.vertices] == list(range(fast.vertex_count))
+        generic = _bfs_ball(model, gens, r, None)
+        _assert_same_ball(cayley_ball(model, gens, r), generic)
         n = generic.vertex_count
-        for cap in (0, n - 1, n):
-            raised = []
-            for m in (model, plain):
-                try:
-                    cayley_ball(m, gens, r, cap=cap)
-                    raised.append(None)
-                except CapExceeded as exc:
-                    raised.append((exc.cap_name, exc.needed, exc.cap))
-            assert raised[0] == raised[1]
-            assert (raised[0] is None) == (cap >= n or r == 0)
+        caps = (0, n - 1, n)
+        for cap, (fast, oracle) in zip(caps, _cap_outcomes(model, gens, r, caps)):
+            assert fast == oracle
+            assert (fast is None) == (cap >= n or r == 0)
 
 
 def test_generators_closed_under_inversion():
@@ -257,10 +310,46 @@ def test_generators_closed_under_inversion():
     ],
 )
 def test_standard_generating_sets_take_the_array_paths(model, gens, standard):
-    # cayley_ball and LengthSystem recognise the same standard sets
-    ball = cayley_ball(model, gens, 2)
-    assert isinstance(ball._store, (_ZdCodes, _FreeWords)) == standard
-    assert (LengthSystem(model, gens)._closed_form is not None) == standard
+    # cayley_ball and LengthSystem recognise the same standard sets, and
+    # both refuse the other sets of these models
+    if standard:
+        assert isinstance(cayley_ball(model, gens, 2)._store, (_ZdCodes, _FreeWords))
+        assert LengthSystem(model, gens)._kind in ("zd", "free")
+    else:
+        with pytest.raises(ValidationError, match="standard generators"):
+            cayley_ball(model, gens, 2)
+        with pytest.raises(ValidationError, match="standard generators"):
+            LengthSystem(model, gens)
+
+
+class _Integers:
+    """A duck-typed model of Z, which no ball build takes."""
+
+    name = "Z"
+
+    def identity(self):
+        return 0
+
+    def mul(self, a, b):
+        return a + b
+
+    def inv(self, a):
+        return -a
+
+    def key(self, a):
+        return a
+
+    def render(self, a):
+        return str(a)
+
+
+def test_other_models_are_refused():
+    with pytest.raises(ValidationError, match="PermGroupModel"):
+        cayley_ball(_Integers(), [1], 2)
+    with pytest.raises(ValidationError, match="PermGroupModel"):
+        LengthSystem(_Integers(), [1])
+    # the oracle still takes it
+    assert _bfs_ball(_Integers(), [1], 2, None).vertices == (0, -1, 1, -2, 2)
 
 
 def test_identity_generator_rejected():
@@ -288,9 +377,9 @@ def test_huge_radius_trips_the_cap(model, r):
     # anything grows with r, also where (2r+1)^d leaves the array path
     gens = model.basis_generators()
     raised = []
-    for m in (model, _Delegate(model)):
+    for build in (cayley_ball, _bfs_ball):
         with pytest.raises(CapExceeded) as exc:
-            cayley_ball(m, gens, r, cap=1000)
+            build(model, gens, r, 1000)
         raised.append((exc.value.needed, exc.value.cap))
     assert raised[0] == raised[1] == (1001, 1000)
     with pytest.raises(CapExceeded):
@@ -318,6 +407,75 @@ def test_perm_group_ball_saturates():
     shift = Perm((1, 2, 3, 0))
     ball = cayley_ball(pm, [shift], 10)
     assert ball.vertex_count == 4  # the cyclic group itself
+
+
+def shift_action(m: int, step: int) -> FinAction:
+    """x -> x + step on Z_m: one self-paired label when the shift is an
+    involution, else the pair g, g_inv."""
+    g = Perm(tuple((x + step) % m for x in range(m)))
+    if g == g.inverse():
+        return FinAction(FinSpace(m), [("g", g)], {"g": "g"})
+    return FinAction(FinSpace(m), [("g", g), ("g_inv", g.inverse())], {"g": "g_inv", "g_inv": "g"})
+
+
+def natural_s5() -> FinAction:
+    t, c = Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])
+    return FinAction(
+        FinSpace(5),
+        [("t", t), ("c", c), ("c_inv", c.inverse())],
+        {"t": "t", "c": "c_inv", "c_inv": "c"},
+    )
+
+
+def _oracle_actions():
+    for m in range(2, 13):
+        for step in range(1, m):
+            yield f"shift-{m}-{step}", shift_action(m, step)
+    yield "natural-s5", natural_s5()
+    yield "regular-klein", regular_klein()
+    yield "regular-s3", regular_s3()
+
+
+def test_closure_balls_match_the_breadth_first_oracle():
+    # every permutation-group ball (cayley_ball, and the dictionary's full
+    # and sample balls) against the breadth-first search over Perm products
+    names = []
+    for name, action in _oracle_actions():
+        names.append(name)
+        m, n = action.space.size, len(action.closure())
+        model = PermGroupModel(m)
+        gens = [g for _, g in action.gens]
+        whole = _bfs_ball(model, gens, n, None)
+        free = action.fixing_element() is None
+        for r in (0, 1, 2, 3, 5, n):
+            want = _bfs_ball(model, gens, r, None)
+            got = cayley_ball(model, gens, r)
+            _assert_same_ball(got, want)
+            for v in whole.vertices[want.vertex_count :]:
+                with pytest.raises(ValidationError, match="target outside ball"):
+                    got.index_of(v)
+            size = want.vertex_count
+            caps = (0, size - 1, size)
+            for cap, (fast, oracle) in zip(caps, _cap_outcomes(model, gens, r, caps)):
+                assert fast == oracle
+                assert (fast is None) == (cap >= size or r == 0)
+            if free:
+                rep = action_to_percolation(action, {lab: [] for lab in action.labels}, r)
+                _assert_same_ball(rep.full_ball, whole)
+                _assert_same_ball(rep.sample_ball, _bfs_ball(model, gens, min(r, n), None))
+    assert len(names) == 69 and "natural-s5" in names
+
+
+def test_closure_ball_refuses_malformed_generators():
+    pm = PermGroupModel(4)
+    with pytest.raises(ValidationError, match="identity"):
+        cayley_ball(pm, [Perm((1, 2, 3, 0)), Perm.identity(4)], 1)
+    with pytest.raises(ValidationError, match="wrong space"):
+        cayley_ball(pm, [Perm((1, 0, 2))], 1)
+    with pytest.raises(ValidationError, match="non-negative"):
+        cayley_ball(pm, [Perm((1, 2, 3, 0))], -1)
+    # with no generators the ball is the identity alone
+    _assert_same_ball(cayley_ball(pm, [], 3), _bfs_ball(pm, [], 3, None))
 
 
 # -- percolation configurations -----------------------------------------------------
@@ -376,7 +534,7 @@ def test_free_forest_structure_reads_the_stored_parents():
     parent, parent_edge, slices = ball.forest_structure()
     assert np.shares_memory(parent, ball._store.parent)
     # the checked build of the same ball through the breadth-first path
-    plain = cayley_ball(_Delegate(fm), fm.letter_generators(), 4)
+    plain = _bfs_ball(fm, fm.letter_generators(), 4, None)
     want = plain.forest_structure()
     assert np.array_equal(parent, want[0]) and parent.dtype == want[0].dtype
     assert np.array_equal(parent_edge, want[1]) and parent_edge.dtype == want[1].dtype
@@ -536,7 +694,7 @@ def _assert_boundary_is_the_outer_level(ball):
 def test_boundary_is_the_tail_at_distance_radius(name):
     model, gens, radius, _ = KERNEL_BALLS[name]
     _assert_boundary_is_the_outer_level(cayley_ball(model, gens, radius))
-    _assert_boundary_is_the_outer_level(cayley_ball(_Delegate(model), gens, radius))
+    _assert_boundary_is_the_outer_level(_bfs_ball(model, gens, radius, None))
 
 
 def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball, f2_ball):
@@ -634,6 +792,21 @@ def test_dictionary_rejects_incompatible_sets():
     action = six_point_action()
     with pytest.raises(ValidationError, match="incompatible"):
         action_to_percolation(action, {"g": [0], "g_inv": [0]}, r=1)
+
+
+def test_dictionary_refuses_identity_and_repeated_generators():
+    g = Perm((1, 2, 3, 0))
+    action = FinAction(
+        FinSpace(4),
+        [("g", g), ("g_inv", g.inverse()), ("e", Perm.identity(4))],
+        {"g": "g_inv", "g_inv": "g", "e": "e"},
+    )
+    with pytest.raises(ValidationError, match="the identity cannot be a generator"):
+        action_to_percolation(action, {"g": [], "g_inv": [], "e": []}, r=1)
+    swap = Perm((1, 0))
+    twice = FinAction(FinSpace(2), [("a", swap), ("b", swap)], {"a": "a", "b": "b"})
+    with pytest.raises(ValidationError, match="generators 'a' and 'b' coincide"):
+        action_to_percolation(twice, {"a": [], "b": []}, r=1)
 
 
 def test_dictionary_requires_free_action():
@@ -882,20 +1055,37 @@ def test_custom_scale_validation():
 
 
 def test_bfs_wordlength_fallback():
+    # a PermGroupModel's word lengths are the breadth-first levels of its
+    # closure ball, built once
     pm = PermGroupModel(6)
     shift = Perm(tuple((x + 1) % 6 for x in range(6)))
     ls = LengthSystem(pm, [shift])
     assert ls.wordlength(shift * shift) == 2
+    ball = ls._ball
+    assert ls.wordlength(shift**3) == 3
     assert ls.wordlength(Perm.identity(6)) == 0
     assert ls.wordlength(shift.inverse()) == 1
+    assert ls._ball is ball
+    # all of S_5 against the breadth-first oracle
+    action = natural_s5()
+    gens = [g for _, g in action.gens]
+    ls = LengthSystem(PermGroupModel(5), gens)
+    oracle = _bfs_ball(PermGroupModel(5), gens, 120, None)
+    assert oracle.vertex_count == 120
+    assert [ls.wordlength(v) for v in oracle.vertices] == oracle.distances.tolist()
+    assert [ls.length(v) for v in oracle.vertices[:3]] == [0, 1, 1]
 
 
 def test_bfs_wordlength_not_generated():
     pm = PermGroupModel(3)
     swap = Perm.from_cycles(3, [(0, 1)])
     ls = LengthSystem(pm, [swap])
-    with pytest.raises(ValidationError, match="not generated"):
-        ls.wordlength(Perm.from_cycles(3, [(1, 2)]))
+    for outside in (Perm.from_cycles(3, [(1, 2)]), Perm.identity(4)):
+        with pytest.raises(ValidationError, match="not generated"):
+            ls.wordlength(outside)
+    # the closure ball counts against the ball cap
+    with pytest.raises(CapExceeded, match="'ball'"):
+        LengthSystem(PermGroupModel(4), [Perm((1, 2, 3, 0))], cap=3).wordlength(Perm.identity(4))
 
 
 def test_free_ball_index_of_searches_its_level():
@@ -933,7 +1123,7 @@ def test_array_ball_index_of_needs_no_vertices(model, monkeypatch):
         gens, radii = model.basis_generators(), range(7)
     else:
         gens, radii = model.letter_generators(), range(6)
-    listed = [cayley_ball(_Delegate(model), gens, r).vertices for r in radii]
+    listed = [_bfs_ball(model, gens, r, None).vertices for r in radii]
     _refuse_decoding(monkeypatch)
     for r, vertices in zip(radii, listed):
         ball = cayley_ball(model, gens, r)
