@@ -29,14 +29,19 @@ class FreeGroupAction:
 
     Freeness makes the element carrying one point to another unique,
     which is what the transport vectors below rely on. It also makes each
-    orbit a copy of the group, so the action is stored in O(m) entries:
-    the element by its image of point 0, and for each point x an orbit
-    representative with the element h_x carrying it to x.
+    orbit a copy of the group, so an element is known by where it sends
+    point 0. The group arithmetic is three integer arrays over closure
+    indices, built once from the base action's `closure_images`:
 
-    Products and inverses are read off the image-of-0 table, not the
-    base action's N x N `product_table`: the transports need only the
-    products they ask for, and the full table would take N^2 entries
-    (3.2 GB at the default closure cap of 20000) where this keeps O(m).
+    - `by_image0[y]`: the element sending 0 to y (-1 off the orbit of 0);
+    - `at0[h]`: h^-1(0), the point that element h sends to 0;
+    - `carrier[x]`: the element carrying the least point of x's orbit to x.
+
+    `mult_indices` and `transporter_indices` apply them to arrays of
+    element indices and points; `mult`, `inverse_name` and `transporter`
+    are the same rules on one name or point pair. None of them reads the
+    base action's N x N `product_table`, which would take N^2 entries
+    (3.2 GB at the default closure cap of 20000) where these keep O(m).
     """
 
     def __init__(self, base: FinAction, cap: int | None = None):
@@ -47,22 +52,20 @@ class FreeGroupAction:
             raise ValidationError(
                 f"element {fixer.name} fixes {fixer.perm.fixed_points()[0]}; the action is not free"
             )
-        ident = self.elements[0].name
-        self.identity_name = ident
-        self._by_image0 = {e.perm.images[0]: e.name for e in self.elements}
-        m = base.space.size
-        self._rep: list[int] = [-1] * m
-        self._carrier: list[str] = [ident] * m
-        for x in range(m):
-            if self._rep[x] < 0:
-                for e in self.elements:
-                    y = e.perm.images[x]
-                    self._rep[y] = x
-                    self._carrier[y] = e.name
+        self.identity_name = self.elements[0].name
+        images = base.closure_images()
+        n, m = images.shape
+        everyone = np.arange(n)
+        self.by_image0 = np.full(m, -1, dtype=np.intp)
+        self.by_image0[images[:, 0]] = everyone
+        self.at0 = np.argmax(images == 0, axis=1)
+        # column x of the image table is the orbit of x, element by element
+        least = np.flatnonzero(images.min(axis=0) == np.arange(m))
+        self.carrier = np.empty(m, dtype=np.intp)
+        self.carrier[images[:, least]] = everyone[:, None]
+        for table in (self.by_image0, self.at0, self.carrier):
+            table.setflags(write=False)
         self._orbits: EqRel | None = None
-        self._products: dict[tuple[str, str], str] = {}
-        self._inverses: dict[str, str] = {}
-        self._index_arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -74,63 +77,41 @@ class FreeGroupAction:
     def name_of(self, p: Perm) -> str:
         return self.base.element_of(p).name
 
-    # Freeness means an element is known by where it sends point 0, so
-    # products and inverses are read off the image-of-0 table and no Perm
-    # is composed. Products and inverses are memoized as they are asked.
-
-    def mult(self, left: str, right: str) -> str:
-        name = self._products.get((left, right))
-        if name is None:
-            lhs = self.perm_of(left).images
-            name = self._by_image0[lhs[self.perm_of(right).images[0]]]
-            self._products[(left, right)] = name
-        return name
-
-    def inverse_name(self, name: str) -> str:
-        inv = self._inverses.get(name)
-        if inv is None:
-            inv = self._by_image0[self.perm_of(name).images.index(0)]
-            self._inverses[name] = inv
-        return inv
-
-    def transporter(self, src: int, dst: int) -> str:
-        """The unique element carrying src to dst: h_dst h_src^-1, which
-        carries src to its orbit representative and that on to dst."""
-        m = len(self._rep)
-        if not (0 <= src < m and 0 <= dst < m and self._rep[src] == self._rep[dst]):
-            raise ValidationError(
-                f"no element carries {src} to {dst}; the points are in different orbits"
-            )
-        return self.mult(self._carrier[dst], self.inverse_name(self._carrier[src]))
-
-    # The same rules over arrays of element indices (closure order), for
-    # the transport tables of `CoinducedSystem`.
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """(image rows, element index by image of 0, h^-1(0) per element h,
-        carrier element index per point), built once."""
-        if self._index_arrays is None:
-            images = self.base.closure_images()
-            by_image0 = np.full(len(self._rep), -1, dtype=np.intp)
-            by_image0[images[:, 0]] = np.arange(len(images))
-            at0 = np.argmax(images == 0, axis=1)
-            index = {e.name: i for i, e in enumerate(self.elements)}
-            carrier = np.array([index[name] for name in self._carrier], dtype=np.intp)
-            self._index_arrays = images, by_image0, at0, carrier
-        return self._index_arrays
-
     def mult_indices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Element indices of the products left * right, elementwise: the
         element sending 0 where left sends right's image of 0."""
-        images, by_image0, _, _ = self._arrays()
-        return by_image0[images[left, images[right, 0]]]
+        images = self.base.closure_images()
+        return self.by_image0[images[left, images[right, 0]]]
 
     def transporter_indices(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Element indices of transporter(src, dst), elementwise, for point
-        pairs known to share an orbit: h_dst h_src^-1 sends 0 to
-        h_dst(h_src^-1(0))."""
-        images, by_image0, at0, carrier = self._arrays()
-        return by_image0[images[carrier[dst], at0[carrier[src]]]]
+        """Element indices of h_dst h_src^-1, elementwise, with h_x the
+        carrier of x: it sends 0 to h_dst(h_src^-1(0)). For points that
+        share an orbit this is the unique element carrying src to dst."""
+        images = self.base.closure_images()
+        return self.by_image0[images[self.carrier[dst], self.at0[self.carrier[src]]]]
+
+    def index(self, name: str) -> int:
+        """The closure index of the element with this name."""
+        return self.base.index_of(self.perm_of(name))
+
+    def mult(self, left: str, right: str) -> str:
+        return self.elements[self.mult_indices(self.index(left), self.index(right))].name
+
+    def inverse_name(self, name: str) -> str:
+        return self.elements[self.by_image0[self.at0[self.index(name)]]].name
+
+    def transporter(self, src: int, dst: int) -> str:
+        """The unique element carrying src to dst. h_dst h_src^-1 sends src
+        to h_dst of the least point of src's orbit, which is dst exactly
+        when the two points share an orbit."""
+        m = len(self.carrier)
+        if 0 <= src < m and 0 <= dst < m:
+            k = self.transporter_indices(src, dst)
+            if self.base.closure_images()[k, src] == dst:
+                return self.elements[k].name
+        raise ValidationError(
+            f"no element carries {src} to {dst}; the points are in different orbits"
+        )
 
     def orbit_relation(self) -> EqRel:
         """The orbits of the group, computed once per action."""
@@ -140,8 +121,16 @@ class FreeGroupAction:
 
 
 class TargetAction:
-    """An action of the closed group on a second space, keyed by element
-    name, validated as a homomorphism on the identity and the generators."""
+    """An action of the closed group on a second space.
+
+    The images are one read-only (G0, Y) integer table `rows` in the
+    group's closure order: row i is the permutation of element i, and
+    `perm` reads a row by element name. The table is validated as a
+    homomorphism on the identity and the generators: rows[g_s * e_j] =
+    rows[g_s][rows[e_j]] for every element e_j, read as one gather per
+    row of the base action's step table. The first failing pair is
+    named, generators by name, then elements in closure order.
+    """
 
     def __init__(
         self,
@@ -159,21 +148,27 @@ class TargetAction:
         for name, p in images.items():
             if p.size != space.size:
                 raise ValidationError(f"image of {name} acts on the wrong space")
+        elements = group.elements
+        rows = np.array([images[e.name].images for e in elements], dtype=np.intp)
+        rows = rows.reshape(len(elements), space.size)
         # images[g h] = images[g] images[h] for all g follows, by induction on
         # the word length of g, from the identity and the generators alone
         ident = group.identity_name
-        if not images[ident].is_identity():
+        if not np.array_equal(rows[0], np.arange(space.size)):
             raise ValidationError(f"images break multiplicativity at ({ident}, {ident})")
-        gens = {group.name_of(group.base.generator(lab)) for lab in group.base.labels}
-        for n1 in sorted(gens):
-            for n2 in names:
-                if images[group.mult(n1, n2)] != images[n1] * images[n2]:
-                    raise ValidationError(
-                        f"images break multiplicativity at ({n1}, {n2})"
-                    )
+        steps = group.base.step_table()
+        gens = {elements[row[0]].name: row for row in steps}  # steps[s, 0] is g_s
+        for name in sorted(gens):
+            row = gens[name]
+            bad = np.flatnonzero((rows[row] != rows[row[0]][rows]).any(axis=1))
+            if bad.size:
+                raise ValidationError(
+                    f"images break multiplicativity at ({name}, {elements[bad[0]].name})"
+                )
+        rows.setflags(write=False)
         self.group = group
         self.space = space
-        self._images = dict(images)
+        self.rows = rows
 
     @staticmethod
     def trivial(group: FreeGroupAction, space: FinSpace) -> "TargetAction":
@@ -181,17 +176,14 @@ class TargetAction:
         return TargetAction(group, space, {e.name: ident for e in group.elements})
 
     def perm(self, name: str) -> Perm:
-        try:
-            return self._images[name]
-        except KeyError:
-            raise ValidationError(f"no image for element {name!r}") from None
+        return Perm(self.rows[self.group.index(name)].tolist())
 
 
 def _target_orbits(a0: FreeGroupAction, a: TargetAction) -> tuple[tuple[int, ...], ...]:
     """The target orbits, ordered by their least member: the orbits of the
     generators' images, since the images form a homomorphism."""
-    gens = (a0.name_of(a0.base.generator(lab)) for lab in a0.base.labels)
-    return EqRel.from_perms(a.space.size, (a.perm(name) for name in gens)).classes
+    gens = a.rows[a0.base.step_table()[:, 0]]  # steps[s, 0] is g_s
+    return EqRel.from_perms(a.space.size, (Perm(row) for row in gens.tolist())).classes
 
 
 def _orbit_unions(blocks: Sequence[Sequence[int]]):
@@ -307,9 +299,11 @@ class CoinducedSystem:
     closure they form the (G, m, N) `transport_table`, which the checks
     and `product_images` read for all points at once; the product map
     is kept as an int array and wrapped in a `Perm` only by
-    `product_perm`. The scalar `rho`, `point_map`, `index_cocycle`,
-    `delta_bar` and `semidirect_mul` stay as the per-point definition
-    that the tables are tested against.
+    `product_perm`. The deltas index the target action's `rows` table
+    (`target_rows`) directly, as both share a0's closure order. The
+    scalar `rho`, `point_map`, `index_cocycle`, `delta_bar` and
+    `semidirect_mul` stay as the per-point definition that the tables
+    are tested against.
     """
 
     def __init__(
@@ -341,7 +335,6 @@ class CoinducedSystem:
         self._rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._products: dict[tuple[int, ...], np.ndarray] = {}
         self._digits: dict[int, np.ndarray] = {}
-        self._targets: np.ndarray | None = None
 
     # -- product coordinates ------------------------------------------------
 
@@ -391,11 +384,8 @@ class CoinducedSystem:
 
     def target_rows(self) -> np.ndarray:
         """The target permutation of every a0 element, (G0, Y) in a0's
-        closure order."""
-        if self._targets is None:
-            rows = [self.a.perm(e.name).images for e in self.a0.elements]
-            self._targets = np.array(rows, dtype=np.int64).reshape(len(rows), self.y_size)
-        return self._targets
+        closure order: the target action's own table."""
+        return self.a.rows
 
     def _transport(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slots, deltas) of the maps with image rows `moved`, (G, m) in,
@@ -540,15 +530,14 @@ def coinduced_action(
     codes = np.arange(sys.product_size, dtype=np.int64)
     # action law: the product map of a composite is the composite of maps.
     # For all pairs it follows, by induction on the word length of the
-    # left factor, from the identity (element 0) and the generators.
-    gens = {b0.element_of(b0.generator(lab)).name for lab in b0.labels}
+    # left factor, from the identity (element 0) and the generators: row s
+    # of the step table holds g_s * e_j, and its entry 0 is g_s itself.
     if not np.array_equal(b_maps[0], codes):
         raise CheckFailed("product maps do not compose as an action")
-    for i, row in enumerate(b0.product_table().tolist()):
-        if gammas[i].name in gens:
-            for j, k in enumerate(row):
-                if not np.array_equal(b_maps[k], b_maps[i][b_maps[j]]):
-                    raise CheckFailed("product maps do not compose as an action")
+    for row in b0.step_table().tolist():
+        for j, k in enumerate(row):
+            if not np.array_equal(b_maps[k], b_maps[row[0]][b_maps[j]]):
+                raise CheckFailed("product maps do not compose as an action")
     if b0.fixing_element() is None:
         for b_map in b_maps[1:]:  # element 0 is the identity
             if np.any(b_map == codes):

@@ -551,8 +551,11 @@ class FinAction:
 
     def fixing_element(self) -> GroupElement | None:
         """The first non-identity closure element that fixes a point, or
-        None when the action is free."""
-        return next((e for e in self.closure()[1:] if e.perm.fixed_points()), None)
+        None when the action is free: the first image row past the
+        identity's with some row[x] == x."""
+        images = self.closure_images()
+        fixes = np.flatnonzero((images[1:] == np.arange(images.shape[1])).any(axis=1))
+        return self._closure[fixes[0] + 1] if fixes.size else None
 
 
 def _word_name(word: tuple[str, ...]) -> str:

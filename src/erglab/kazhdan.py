@@ -235,8 +235,6 @@ class FiniteRep:
                 mats[name] = arr
             self.dimension = dim
             self._images = mats
-        inverse = np.argmin(action.product_table(), axis=1).tolist()  # the identity is element 0
-        self._inverses = {e.name: closure[j].name for e, j in zip(closure, inverse)}
         self._inv_basis: np.ndarray | None = None
 
     def _check_multiplicative(self) -> None:
@@ -297,7 +295,7 @@ class FiniteRep:
         return self._elements[0].name
 
     def inverse_name(self, name: str) -> str:
-        return self._inverses[self.action.element(name).name]
+        return self.action.element_of(self.action.element(name).perm.inverse()).name
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
         img = self._images[name]

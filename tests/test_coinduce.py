@@ -1,9 +1,13 @@
 """Skew-product construction and its exact counting identities."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +110,7 @@ def test_group_arithmetic(z4_pair):
         a0.name_of(Perm((1, 0, 2, 3)))
 
 
-def test_group_arithmetic_matches_composition_in_a_nonabelian_group():
+def _s3_left_regular() -> FinAction:
     """S_3 acting freely on itself by left multiplication."""
     elems = [Perm(p) for p in itertools.permutations(range(3))]
     where = {e: i for i, e in enumerate(elems)}
@@ -115,7 +119,11 @@ def test_group_arithmetic_matches_composition_in_a_nonabelian_group():
         return Perm([where[s * e] for e in elems])
 
     gens = [("s", left(Perm((1, 0, 2)))), ("t", left(Perm((0, 2, 1))))]
-    a0 = FreeGroupAction(FinAction(FinSpace(6), gens, {"s": "s", "t": "t"}))
+    return FinAction(FinSpace(6), gens, {"s": "s", "t": "t"})
+
+
+def test_group_arithmetic_matches_composition_in_a_nonabelian_group():
+    a0 = FreeGroupAction(_s3_left_regular())
     assert a0.size == 6
     for g in a0.elements:
         assert a0.perm_of(a0.inverse_name(g.name)) == g.perm.inverse()
@@ -1007,3 +1015,210 @@ def test_a_choice_system_finer_than_the_ambient_orbits(z4_pair):
     assert rep.lhs_factorized == rep.lhs_materialized == rep.rhs
     with pytest.raises(ValidationError, match="preserve each ambient class"):
         check_thm33_identity(sys, [0, 1], "g")
+
+
+def test_the_action_law_reads_no_product_table(z4_pair, monkeypatch):
+    """coinduced_action checks the law on the step table's rows; b0's
+    N x N product table is never built."""
+    a0, b0 = z4_pair
+
+    def refuse(self):
+        raise AssertionError("product_table was built")
+
+    monkeypatch.setattr(FinAction, "product_table", refuse)
+    for target in (swap_target(a0, Perm((1, 0))), TargetAction.trivial(a0, FinSpace(3))):
+        assert coinduced_action(a0, b0, target).materialized
+    spec = load_instance(make_coinduce_ready(9, 3)).coinduce
+    assert coinduced_action(spec.a0, spec.b0, _doubled_target(spec.a0, spec.a)).materialized
+
+
+# -- the group arithmetic and the target table against their definitions --------------
+
+
+ORACLE_CASES = [*TABLE_CASES, "s3-left", "s3-six"]
+
+
+def _oracle_group(case) -> FreeGroupAction:
+    if case == "s3-left":
+        return FreeGroupAction(_s3_left_regular())
+    if case == "s3-six":
+        return FreeGroupAction(_s3_on_six_points())
+    return s3_on_two_copies()[0] if case == "s3" else _coinduce_ready_pair(*case)[0]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_mult_and_inverse_match_perm_composition(case):
+    a0 = _oracle_group(case)
+    elems = a0.elements
+    index = {e.perm: i for i, e in enumerate(elems)}
+    products = [[index[g.perm * h.perm] for h in elems] for g in elems]
+    for g in elems:
+        assert a0.inverse_name(g.name) == elems[index[g.perm.inverse()]].name
+        for h in elems:
+            assert a0.mult(g.name, h.name) == elems[index[g.perm * h.perm]].name
+    left, right = np.indices((len(elems), len(elems)))
+    assert a0.mult_indices(left, right).tolist() == products
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_transporter_matches_a_scan_of_the_elements(case):
+    a0 = _oracle_group(case)
+    m = a0.base.space.size
+    for src in range(m):
+        for dst in range(m):
+            carriers = [e.name for e in a0.elements if e.perm(src) == dst]
+            assert len(carriers) <= 1  # freeness
+            if carriers:
+                assert a0.transporter(src, dst) == carriers[0]
+                k = a0.transporter_indices(np.array([src]), np.array([dst]))[0]
+                assert a0.elements[k].name == carriers[0]
+            else:
+                with pytest.raises(ValidationError, match=f"carries {src} to {dst}; .*different orbits"):
+                    a0.transporter(src, dst)
+    for src, dst in ((-1, 0), (0, -1), (-m, 0), (m, 0), (0, m), (m + 3, -2)):
+        with pytest.raises(ValidationError, match=re.escape(f"no element carries {src} to {dst};")):
+            a0.transporter(src, dst)
+
+
+def _oracle_targets(case, a0: FreeGroupAction) -> list[dict]:
+    """Name-keyed homomorphisms of a0: trivial, a0 on its own space
+    (plainly and conjugated), and the instance's own targets."""
+    m = a0.base.space.size
+    tau = Perm(tuple(reversed(range(m))))
+    tables = [
+        {e.name: Perm.identity(3) for e in a0.elements},
+        {e.name: e.perm for e in a0.elements},
+        {e.name: tau * e.perm * tau.inverse() for e in a0.elements},
+    ]
+    if case == "s3-six":
+        tables += [{e.name: t.perm(e.name) for e in a0.elements} for t in _s3_targets(a0)]
+    elif case not in ("s3", "s3-left"):
+        spec = load_instance(make_coinduce_ready(*case)).coinduce
+        for t in (spec.a, _doubled_target(spec.a0, spec.a)):
+            tables.append({e.name: t.perm(e.name) for e in spec.a0.elements})
+    return tables
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_target_rows_are_the_name_keyed_images(case):
+    a0 = _oracle_group(case)
+    for images in _oracle_targets(case, a0):
+        size = next(iter(images.values())).size
+        target = TargetAction(a0, FinSpace(size), images)
+        assert not target.rows.flags.writeable
+        assert target.rows.tolist() == [list(images[e.name].images) for e in a0.elements]
+        assert all(target.perm(name) == p for name, p in images.items())
+
+
+def _klein_four_regular() -> FinAction:
+    u, v = Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])
+    return FinAction(FinSpace(4), [("u", u), ("v", v)], {"u": "u", "v": "v"})
+
+
+SMALL_FREE = [
+    lambda: shift_action(1),
+    lambda: shift_action(2),
+    lambda: shift_action(3),
+    lambda: shift_action(4, step=2, label="d"),
+    lambda: shift_action(5),
+    lambda: shift_action(6),
+    lambda: shift_action(6, step=2),
+    lambda: FinAction(FinSpace(3), [("d", Perm.identity(3))], {"d": "d"}),
+    _klein_four_regular,
+    _s3_left_regular,
+    _s3_on_six_points,
+]
+
+
+def _first_break(a0: FreeGroupAction, images: dict) -> tuple[str, str] | None:
+    """The first pair breaking images[g h] = images[g] images[h], by
+    brute force: the identity, then each generator by name against every
+    element in closure order."""
+    elems = a0.elements
+    name = {e.perm: e.name for e in elems}
+    ident = elems[0].name
+    if not images[ident].is_identity():
+        return ident, ident
+    gens = sorted({name[g] for _, g in a0.base.gens})
+    for g in gens:
+        for h in elems:
+            if images[name[a0.perm_of(g) * h.perm]] != images[g] * images[h.name]:
+                return g, h.name
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_target_action_accepts_exactly_the_all_pairs_homomorphisms(data):
+    a0 = FreeGroupAction(data.draw(st.sampled_from(SMALL_FREE))())
+    elems = a0.elements
+    if data.draw(st.booleans()):
+        # random generator images, evaluated along each element's word
+        size = data.draw(st.integers(1, 4))
+        gen_images = {}
+        for lab in a0.base.labels:
+            partner = gen_images.get(a0.base.inverses[lab])
+            if partner is not None and data.draw(st.booleans()):
+                gen_images[lab] = partner.inverse()
+            else:
+                gen_images[lab] = Perm(data.draw(st.permutations(range(size))))
+        images = {}
+        for e in elems:
+            p = Perm.identity(size)
+            for lab in e.word:
+                p = gen_images[lab] * p
+            images[e.name] = p
+    else:
+        # a0 on its own space, conjugated
+        size = a0.base.space.size
+        tau = Perm(data.draw(st.permutations(range(size))))
+        images = {e.name: tau * e.perm * tau.inverse() for e in elems}
+    for name in data.draw(st.lists(st.sampled_from([e.name for e in elems]), max_size=2)):
+        images[name] = Perm(data.draw(st.permutations(range(size))))
+
+    name = {e.perm: e.name for e in elems}
+    all_pairs = all(
+        images[name[g.perm * h.perm]] == images[g.name] * images[h.name] for g in elems for h in elems
+    )
+    first = _first_break(a0, images)
+    assert all_pairs == (first is None)
+    if all_pairs:
+        target = TargetAction(a0, FinSpace(size), images)
+        assert target.rows.tolist() == [list(images[e.name].images) for e in elems]
+    else:
+        message = re.escape("images break multiplicativity at (%s, %s)" % first) + "$"
+        with pytest.raises(ValidationError, match=message):
+            TargetAction(a0, FinSpace(size), images)
+
+
+_HASH_SEED_SCRIPT = """
+from erglab import FinAction, FinSpace, FreeGroupAction, Perm, TargetAction, ValidationError
+
+def shift(m, k):
+    return Perm([(x + k) % m for x in range(m)])
+
+gens = [("d", shift(6, 1)), ("d_inv", shift(6, -1))]
+a0 = FreeGroupAction(FinAction(FinSpace(6), gens, {"d": "d_inv", "d_inv": "d"}))
+images = {f"d^{k}": shift(6, k) for k in range(6)}
+images["d^2"] = images["d^4"] = Perm((1, 0, 2, 3, 4, 5))
+try:
+    TargetAction(a0, FinSpace(6), images)
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_the_target_action_error_does_not_follow_the_hash_seed():
+    """A Z/6 shift target broken at two elements fails at several pairs;
+    the error names the first one in generator-name, then closure order.
+    Under hash seeds 2 and 6 a scan in set order named two different ones."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    messages = set()
+    for seed in ("2", "6"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        messages.add(done.stdout)
+    assert messages == {"images break multiplicativity at (d^1, d^1)\n"}

@@ -739,6 +739,16 @@ def test_action_fixing_element():
     assert free.fixing_element() is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixing_element_matches_a_scan_of_the_elements(data):
+    n = data.draw(st.integers(1, 6))
+    a, b = (Perm(tuple(data.draw(st.permutations(range(n))))) for _ in range(2))
+    act = _two_generator_action(a, b)
+    scan = next((e for e in act.closure()[1:] if e.perm.fixed_points()), None)
+    assert act.fixing_element() is scan
+
+
 def test_action_rejects_bad_pairing():
     m = 3
     g = Perm.from_cycles(m, [(0, 1, 2)])

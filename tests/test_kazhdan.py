@@ -335,6 +335,24 @@ def test_natural_rep():
     assert rep.inverse_name("g^1") == "g^3"
 
 
+@pytest.mark.parametrize("make", [lambda: shift_action(7), lambda: _two_orbit_action()])
+def test_natural_rep_inverses_match_perm_inversion_without_a_product_table(make, monkeypatch):
+    """FiniteRep.natural and averaging_norm read inverses off the closure
+    index: the N x N product table is never built on that path."""
+    act = make()
+
+    def refuse(self):
+        raise AssertionError("product_table was built")
+
+    monkeypatch.setattr(FinAction, "product_table", refuse)
+    rep = FiniteRep.natural(act)
+    for e in act.closure():
+        assert rep.inverse_name(e.name) == act.element_of(e.perm.inverse()).name
+    assert averaging_norm(rep, rep.names).k == len(rep.names)
+    with pytest.raises(ValidationError, match="no closure element"):
+        rep.inverse_name("no-such-element")
+
+
 def test_regular_rep_dimension_is_group_order():
     rep = FiniteRep.regular(shift_action(4))
     assert rep.dimension == 4
