@@ -9,6 +9,7 @@ violated exact identity (a bug signal, never a user error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -102,7 +103,11 @@ def _size(text: str) -> int | tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"size {text!r} is not an integer or 'a,b'") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process, for in-process callers of `main`: parsing
+    keeps no state on the parser, and the flag types read the caps at
+    parse time."""
     out = _Parser(add_help=False)
     out.add_argument("--out", help="output file (default stdout)")
     instance = _Parser(add_help=False)

@@ -178,7 +178,9 @@ class CayleyBall:
     q: tuple
     radius: int
     distances: np.ndarray
-    edges: np.ndarray  # (E, 2) int64, each row (i, j) with i < j
+    # (E, 2) int64, each row (i, j) with i < j; rows sorted by their first
+    # column, which the contraction kernel's first labelling relies on
+    edges: np.ndarray
     boundary: range
     _store: object = field(repr=False)
     _vertices: tuple | None = field(default=None, repr=False)
@@ -832,44 +834,70 @@ def _contract_chunk(
     tidx: list[int],
 ) -> list[list[int]]:
     """Contraction-kernel counters for trials [lo, hi), in one pass per trial
-    over the sorted distinct grid points (Newman-Ziff order, bucketed by
-    grid point).
+    over the sorted distinct grid points (Newman-Ziff order).
 
-    An edge with uniform u opens at the grid points above u, so it joins
-    the graph at bucket searchsorted(grid, u, side="right"). `cur` holds
-    each vertex's component id in the graph of the edges opened so far.
-    At each grid point one `connected_components` call, on the current
-    components joined by that bucket's edges, contracts `cur` further.
-    The statistics only compare ids, so they are read off `cur` at the
-    root, the boundary and the targets, with no relabelling.
+    An edge with uniform u is open at p iff u < p, so the edges that open
+    at a grid point are those open there and not at the point before.
+    `cur` holds each vertex's component id in the graph of the edges
+    opened so far. At each grid point that opens edges, one
+    `connected_components` call, on the current components joined by
+    those edges, contracts `cur` further. The statistics only compare
+    ids, so each grid point gathers `cur` at the root, the targets and
+    the boundary, with no relabelling, and a trial folds those rows into
+    the counters at once.
+
+    The graph goes to scipy as a CSR matrix built by hand, with int32
+    `indices`/`indptr` (scipy's labeller works in int32, and the ball
+    cap, 4·10^6 vertices by default, keeps ids far below 2^31) and
+    float64 data cut from one array of ones, so scipy converts neither. A trial's first labelling
+    starts from the identity `cur`: ball edges are sorted by their first
+    column, so the rows come straight from the opened edges, with no
+    gather through `cur` and no sort.
     """
-    n = ball.vertex_count
+    n, m = ball.vertex_count, ball.edge_count
     grid = np.unique(np.array(p_list, dtype=np.float64))
-    tarr = np.array(tidx, dtype=np.int64)
+    nt = len(tidx)
+    # the vertices the statistics read: root, targets, then the boundary
+    watch = np.concatenate(([0], tidx, ball.boundary)).astype(np.int64)
     ei, ej = ball.edges.T
-    totals = np.zeros((len(grid), 2 + len(tidx)), dtype=np.int64)
-    for trial in range(lo, hi):
-        u = uniforms(seed, trial, ball.edge_count)
-        bucket = np.searchsorted(grid, u, side="right")
-        cur = np.arange(n, dtype=np.int64)
-        ncomp = n
-        for j in range(len(grid)):
-            new = np.flatnonzero(bucket == j)
+    ones = np.ones(m)
+    identity = np.arange(n, dtype=np.int32)
+    masks = (np.empty(m, dtype=bool), np.empty(m, dtype=bool))
+    seen = np.empty((len(grid), len(watch)), dtype=np.int32)  # ids at watch, per point
+
+    def read_trial(u: np.ndarray) -> None:
+        # a function of its own, so that its arrays die before the next draw
+        before, now = masks
+        before[:] = False
+        cur, ncomp = identity, n
+        for j, p in enumerate(grid):
+            np.less(u, p, out=now)
+            # `before`'s buffer takes the edges that open at p: open now, not before
+            fresh = np.logical_and(now, np.logical_not(before, out=before), out=before)
+            new = np.flatnonzero(fresh)
+            before, now = now, fresh
             if len(new):
-                # CSR built by hand: scipy's COO route costs more than the labelling
-                a, b = cur[ei[new]], cur[ej[new]]
-                indptr = np.zeros(ncomp + 1, dtype=np.int64)
+                if cur is identity:
+                    a, b = ei[new], ej[new].astype(np.int32)
+                else:
+                    a, b = cur[ei[new]], cur[ej[new]]
+                    b = b[np.argsort(a)]
+                indptr = np.zeros(ncomp + 1, dtype=np.int32)
                 np.cumsum(np.bincount(a, minlength=ncomp), out=indptr[1:])
-                graph = csr_matrix(
-                    (np.ones(len(new)), b[np.argsort(a)], indptr), shape=(ncomp, ncomp)
-                )
+                graph = csr_matrix((ones[: len(new)], b, indptr), shape=(ncomp, ncomp))
                 ncomp, comp = connected_components(graph, directed=False)
-                cur = comp[cur]
-            root = cur[0]
-            bids = cur[ball.boundary.start :]
-            totals[j, 0] += np.any(bids == root)
-            totals[j, 1] += len(np.unique(bids))
-            totals[j, 2:] += cur[tarr] == root
+                cur = comp if cur is identity else comp[cur]
+            seen[j] = cur[watch]
+
+    totals = np.zeros((len(grid), 2 + nt), dtype=np.int64)
+    for trial in range(lo, hi):
+        read_trial(uniforms(seed, trial, m))
+        joined = seen == seen[:, :1]
+        totals[:, 0] += joined[:, 1 + nt :].any(axis=1)
+        # distinct boundary ids: the first, and each change along the sorted row
+        bids = np.sort(seen[:, 1 + nt :], axis=1)
+        totals[:, 1] += bool(ball.boundary) + np.count_nonzero(bids[:, 1:] != bids[:, :-1], axis=1)
+        totals[:, 2:] += joined[:, 1 : 1 + nt]
     pos = np.searchsorted(grid, p_list)
     return [[int(c) for c in totals[j]] for j in pos]
 
@@ -891,14 +919,16 @@ def sweep(
     at the parent-edge indices into buffers it reuses, turns them into
     per-vertex thresholds and reads each grid point off them with two
     array comparisons; on other balls the contraction kernel
-    (`_contract_chunk`) walks the sorted grid once per trial, merging
-    the components joined by the edges that open between consecutive
-    points. Both read the boundary as the tail slice of the vertex
-    indices, and count what `cluster_stats` over the `percolate`
-    configuration of each grid point and trial counts. A one-point grid
-    is a single-p run: `erglab percolate` is one. Counters are
-    integers merged by summation: the result is identical for any
-    partitioning of trials across workers.
+    (`_contract_chunk`) walks the sorted grid once per trial, masking
+    the edges that open at each point (uniform below it, not below the
+    point before) and merging the components they join with one
+    `connected_components` call per point that opens any. Both read the
+    boundary as the tail slice of the vertex indices, and count what
+    `cluster_stats` over the `percolate` configuration of each grid
+    point and trial counts. A one-point grid is a single-p run: `erglab
+    percolate` is one, and costs one mask and at most one labelling per
+    trial. Counters are integers merged by summation: the result is
+    identical for any partitioning of trials across workers.
     """
     p_list = [float(p) for p in p_grid]
     if not p_list:

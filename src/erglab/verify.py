@@ -323,6 +323,19 @@ def suite_length(count: int = 400, size: int = 8, seed: int = 0) -> SuiteResult:
     return SuiteResult("length", count, tuple(failures))
 
 
+def _autocorrelation(a0: FreeGroupAction, w: dict) -> dict:
+    """psi(g) = sum_h w(g^-1 h) w(h), a positive-definite function, for
+    weights keyed by element name in closure order: every g^-1 h is read
+    off one index grid."""
+    weights = list(w.values())
+    inverses = a0.by_image0[a0.at0]
+    products = a0.mult_indices(inverses[:, None], np.arange(a0.size)[None, :]).tolist()
+    return {
+        g.name: sum((weights[k] * wh for k, wh in zip(row, weights)), Fraction(0))
+        for g, row in zip(a0.elements, products)
+    }
+
+
 def suite_kazhdan_forms(count: int = 32, size: int = 8, seed: int = 0) -> SuiteResult:
     """Gap arithmetic coherence and certificate positivity."""
     rng = random.Random(seed)
@@ -365,16 +378,9 @@ def suite_kazhdan_forms(count: int = 32, size: int = 8, seed: int = 0) -> SuiteR
             w = {e.name: Fraction(rng.randint(-3, 3)) for e in a0.elements}
             if not any(w.values()):
                 w[a0.identity_name] = Fraction(1)
-            psi_table = {}
-            for g in a0.elements:
-                g_inv = a0.inverse_name(g.name)
-                psi_table[g.name] = sum(
-                    (w[a0.mult(g_inv, h.name)] * w[h.name] for h in a0.elements),
-                    Fraction(0),
-                )
             ambient = _shift_action(m, 1)
             try:
-                kazhdan.pd_transfer(psi_table, a0, ambient)
+                kazhdan.pd_transfer(_autocorrelation(a0, w), a0, ambient)
             except CheckFailed as exc:
                 failures.append(f"case {i}: {exc}")
         else:

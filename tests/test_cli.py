@@ -27,6 +27,7 @@ from erglab import (
     make_cyclic,
     percolate,
 )
+from erglab import cli
 from erglab.cli import _build_parser, main
 
 
@@ -523,6 +524,32 @@ def test_cap_exceeded_is_a_validation_exit(tmp_path, monkeypatch):
     monkeypatch.setenv("ERGLAB_CAPS", "ball=10")
     code, _ = run(tmp_path, "percolate", "--model", "z2", "--radius", "8", "--p", "0.5")
     assert code == 1
+
+
+def test_the_cached_parser_reads_caps_at_parse_time(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; the --model flag still reads the
+    # ball cap on every parse, so each call sees the caps set just before it
+    assert _build_parser() is _build_parser()
+    argv = ["percolate", "--model", "zd:3", "--radius", "1", "--p", "0.5", "--trials", "3"]
+    steps = [("", argv), ("ball=10", argv), ("", argv), ("ball=17", argv),
+             ("ball=18", argv), ("ball=18", [*argv, "--grid", "0.5"]), ("", argv)]
+
+    def outcomes(tag):
+        seen = []
+        for i, (caps, line) in enumerate(steps):
+            monkeypatch.setenv("ERGLAB_CAPS", caps)
+            out = tmp_path / f"{tag}-{i}.json"
+            code = main([*line, "--out", str(out)])
+            seen.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr()))
+        return seen
+
+    cached = outcomes("cached")
+    assert [code for code, _, _ in cached] == [0, 1, 0, 1, 0, 1, 0]
+    assert cached[1][2].err == "error: cap 'ball' exceeded: need 18, cap is 10\n"
+    assert cached[0][1] == cached[2][1] == cached[4][1] == cached[6][1]
+    # a fresh parser per call, as a one-shot process builds it
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes("fresh") == cached
 
 
 def test_orbit_unions_cap_bounds_the_thm33_sets(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,17 @@ from erglab import (
 )
 from erglab import percolation
 from erglab.errors import get_cap
-from erglab.percolation import _close_generators, _contract_chunk, _FreeWords, _ZdCodes
+from erglab.percolation import (
+    _ball_prefix,
+    _close_generators,
+    _closure_ball,
+    _contract_chunk,
+    _free_ball,
+    _FreeWords,
+    _unionfind_labels,
+    _zd_ball,
+    _ZdCodes,
+)
 from erglab.rng import GOLDEN, MASK64, IndexDraw, mix64, stream_key, uniform_at, uniforms
 
 
@@ -478,6 +489,44 @@ def test_closure_ball_refuses_malformed_generators():
     _assert_same_ball(cayley_ball(pm, [], 3), _bfs_ball(pm, [], 3, None))
 
 
+def _assert_edges_sorted_by_first_column(ball):
+    edges = ball.edges
+    assert edges.dtype == np.int64 and edges.shape == (ball.edge_count, 2)
+    assert np.all(edges[:, 0] < edges[:, 1])
+    step = np.diff(edges, axis=0)
+    # sorted rows, first column first: the contraction kernel's first
+    # labelling reads its CSR rows straight off the opened edges
+    assert np.all(step[:, 0] >= 0)
+    assert np.all((step[:, 0] > 0) | (step[:, 1] > 0))
+
+
+def test_every_ball_build_sorts_its_edges_by_their_first_column():
+    builds = 0
+    for d in (1, 2, 3):
+        zd = ZdModel(d)
+        for r in (0, 1, 2, 5):
+            ball = _zd_ball(zd, _close_generators(zd, zd.basis_generators()), r)
+            assert (ball.edge_count == 0) == (r == 0)
+            _assert_edges_sorted_by_first_column(ball)
+            builds += 1
+    for k in (1, 2, 3):
+        fm = FreeModel(k)
+        for r in (0, 1, 3):
+            _assert_edges_sorted_by_first_column(
+                _free_ball(fm, _close_generators(fm, fm.letter_generators()), r, get_cap("ball"))
+            )
+            builds += 1
+    for _, action in _oracle_actions():
+        n = len(action.closure())
+        whole = _closure_ball(action, n)
+        _assert_edges_sorted_by_first_column(whole)
+        for r in (0, 1, 2):
+            _assert_edges_sorted_by_first_column(_closure_ball(action, r))
+            _assert_edges_sorted_by_first_column(_ball_prefix(whole, r))
+            builds += 2
+    assert builds == 12 + 9 + 69 * 6
+
+
 # -- percolation configurations -----------------------------------------------------
 
 
@@ -617,10 +666,12 @@ def test_sweep_worker_invariance(z2_ball):
 
 def _reference_counters(ball, grid, trials, seed, targets):
     """Per grid point, [theta, boundary_total, tau...] from `cluster_stats`
-    over the `percolate` configuration of each trial."""
+    over the `percolate` configuration of each trial: trials 0..trials-1,
+    or the trials of a range."""
+    runs = range(trials) if isinstance(trials, int) else trials
     out = []
     for p in grid:
-        st = cluster_stats((percolate(ball, p, seed, t) for t in range(trials)), targets)
+        st = cluster_stats((percolate(ball, p, seed, t) for t in runs), targets)
         out.append([st.theta_count, st.boundary_total, *st.tau_counts])
     return out
 
@@ -722,6 +773,85 @@ def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball,
         assert _row_counters(res.rows) == want
         assert _contraction_counters(ball, grid, 15, 6, targets) == want
     assert {"_forest_chunk", "uniforms"} <= callers
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", list(KERNEL_BALLS))
+def test_contraction_kernel_matches_unionfind_at_one_point(name, p):
+    # a single-p run is a one-point sweep: no edge opens at 0, all at 1
+    model, gens, radius, targets = KERNEL_BALLS[name]
+    ball = cayley_ball(model, gens, radius)
+    assert _contraction_counters(ball, [p], 25, 4, targets) == _reference_counters(
+        ball, [p], 25, 4, targets
+    )
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BALLS))
+def test_contraction_chunk_counts_only_its_own_trials(name):
+    model, gens, radius, targets = KERNEL_BALLS[name]
+    ball = cayley_ball(model, gens, radius)
+    tidx = [ball.index_of(t) for t in targets]
+    grid = [0.5, 0.0, 1.0, 0.5, 0.3]
+    late = _contract_chunk(ball, grid, 7, 19, 4, tidx)
+    assert late == _reference_counters(ball, grid, range(7, 19), 4, targets)
+    early = _contract_chunk(ball, grid, 0, 7, 4, tidx)
+    both = _contract_chunk(ball, grid, 0, 19, 4, tidx)
+    assert [[x + y for x, y in zip(a, b)] for a, b in zip(early, late)] == both
+
+
+def test_contraction_kernel_labels_once_per_point_that_opens_edges(monkeypatch):
+    # each call gets the edges that open at its point, on the components of
+    # the edges opened before it: p = 0 and the sliver [0.2, 0.2 + 1e-9)
+    # open nothing, so they cost no call
+    zd = ZdModel(2)
+    ball = cayley_ball(zd, zd.basis_generators(), 6)
+    grid = [0.5, 0.0, 0.2 + 1e-9, 0.2, 1.0, 0.5, 0.35]
+    real = percolation.connected_components
+    calls = []
+
+    def spy(graph, directed=True, **kwargs):
+        assert directed is False and not kwargs
+        calls.append((graph.shape[0], graph.nnz))
+        return real(graph, directed=directed)
+
+    monkeypatch.setattr(percolation, "connected_components", spy)
+    _contract_chunk(ball, grid, 3, 11, 5, [])
+    want = []
+    for trial in range(3, 11):
+        u = uniforms(5, trial, ball.edge_count)
+        before = np.zeros(ball.edge_count, dtype=bool)
+        for p in sorted(set(grid)):
+            opening = np.count_nonzero((u < p) & ~before)
+            if opening:
+                clusters = len(np.unique(_unionfind_labels(ball, before)))
+                want.append((clusters, opening))
+            before = u < p
+    assert calls == want
+    assert len(want) == 8 * 4
+
+
+LATTICE_GRID = [0.40, 0.44, 0.47, 0.50, 0.53, 0.56, 0.60]
+# Peak traced allocations of `_contract_chunk` over 10 trials on the Z^2
+# radius-64 ball (built beforehand), with three targets. The bounds are
+# the peaks of the kernel before the int32 CSR build (one searchsorted
+# bucket per trial, int64 CSR arrays): 1.26 MiB at one point and 0.89 MiB
+# at seven, with numpy 2.4.6 and scipy 1.17.1. The kernel peaks at about
+# 0.76 and 0.79 MiB, in the draw.
+@pytest.mark.parametrize(
+    "grid, bound_mib", [([0.5], 1.26), (LATTICE_GRID, 0.89)], ids=["one-point", "seven-points"]
+)
+def test_contraction_kernel_peak_allocation(grid, bound_mib):
+    zd = ZdModel(2)
+    ball = cayley_ball(zd, zd.basis_generators(), 64)
+    tidx = [ball.index_of(t) for t in [(1, 0), (0, 1), (8, 8)]]
+    _contract_chunk(ball, grid, 0, 1, 1, tidx)  # scipy's first-call set-up is not the kernel's
+    tracemalloc.start()
+    try:
+        _contract_chunk(ball, grid, 0, 10, 1, tidx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_sweep_matches_cluster_stats(z2_ball):

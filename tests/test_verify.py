@@ -1,8 +1,23 @@
 """Verification suites: coverage, determinism, and result reporting."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from erglab import SUITE_NAMES, SuiteResult, ValidationError, run_all, run_suite
+from erglab import (
+    SUITE_NAMES,
+    FinAction,
+    FinSpace,
+    FreeGroupAction,
+    Perm,
+    SuiteResult,
+    ValidationError,
+    run_all,
+    run_suite,
+)
+from erglab.verify import _autocorrelation, _shift_action
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -50,3 +65,30 @@ def test_seed_sweep_stays_green(seed):
     for name in ("definiteness", "thm25", "coinduce_identities", "kazhdan_forms"):
         result = run_suite(name, count=8, seed=seed)
         assert result.ok, (name, result.failures)
+
+
+def _s3_left_regular() -> FinAction:
+    elems = [Perm(p) for p in itertools.permutations(range(3))]
+    where = {e: i for i, e in enumerate(elems)}
+    gens = [(name, Perm([where[s * e] for e in elems])) for name, s in
+            [("s", Perm((1, 0, 2))), ("t", Perm((0, 2, 1)))]]
+    return FinAction(FinSpace(6), gens, {"s": "s", "t": "t"})
+
+
+def test_kazhdan_forms_psi_is_the_autocorrelation_of_the_weights():
+    # the index-grid psi table against N^2 scalar products by name, on
+    # abelian shifts and on the non-abelian S_3, where g^-1 h != h g^-1
+    rng = random.Random(3)
+    actions = [_shift_action(m, step) for m, step in [(4, 1), (6, 2), (8, 4), (8, 1)]]
+    for a0 in map(FreeGroupAction, [*actions, _s3_left_regular()]):
+        for _ in range(3):
+            w = {e.name: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in a0.elements}
+            want = {
+                g.name: sum(
+                    (w[a0.mult(a0.inverse_name(g.name), h.name)] * w[h.name] for h in a0.elements),
+                    Fraction(0),
+                )
+                for g in a0.elements
+            }
+            got = _autocorrelation(a0, w)
+            assert list(got.items()) == list(want.items())
