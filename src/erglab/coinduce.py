@@ -182,8 +182,7 @@ class TargetAction:
 def _target_orbits(a0: FreeGroupAction, a: TargetAction) -> tuple[tuple[int, ...], ...]:
     """The target orbits, ordered by their least member: the orbits of the
     generators' images, since the images form a homomorphism."""
-    gens = a.rows[a0.base.step_table()[:, 0]]  # steps[s, 0] is g_s
-    return EqRel.from_perms(a.space.size, (Perm(row) for row in gens.tolist())).classes
+    return a0.base.image_orbits(a.rows).classes
 
 
 def _orbit_unions(blocks: Sequence[Sequence[int]]):

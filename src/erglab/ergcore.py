@@ -557,6 +557,14 @@ class FinAction:
         fixes = np.flatnonzero((images[1:] == np.arange(images.shape[1])).any(axis=1))
         return self._closure[fixes[0] + 1] if fixes.size else None
 
+    def image_orbits(self, rows: Sequence[Sequence[int]]) -> EqRel:
+        """The orbits of a homomorphic image of the closure, given as its
+        image rows in closure order (a table, or N tuples): the orbits of
+        the generators' rows, since the generators generate the image."""
+        # entry (s, 0) of the step table is the index of g_s * e_0 = g_s
+        gens = np.asarray([rows[k] for k in self.step_table()[:, 0].tolist()]).tolist()
+        return EqRel.from_pairs(len(rows[0]), (xy for row in gens for xy in enumerate(row)))
+
 
 def _word_name(word: tuple[str, ...]) -> str:
     if not word:

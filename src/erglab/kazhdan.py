@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CheckFailed, ValidationError
-from .ergcore import EqRel, FinAction, GramCertificate, Perm, gram_check, hit_counts
+from .ergcore import FinAction, GramCertificate, Perm, gram_check, hit_counts
 from .coinduce import FreeGroupAction
 
 _SQRT2 = math.sqrt(2.0)
@@ -193,155 +193,139 @@ class FiniteRep:
     """A representation of the closure of a FinAction, either by
     permutations (exact) or by orthogonal matrices (tolerance 1e-12).
 
-    Images passed in are validated as a homomorphism exhaustively, over
-    every pair of closure elements. `natural` and `regular` are
-    homomorphisms by construction and skip that check.
+    The images are kept in closure order, permutations as N image rows
+    and matrices as one (N, d, d) stack; `apply`, `matrix` and
+    `invariant_basis` read a name's row by its closure index. Images
+    passed in are validated as a homomorphism exhaustively, over every
+    pair of closure elements. `natural` wraps the closure's own image
+    tuples and `regular` the N x N product table: both are homomorphisms
+    by construction, skip that check and copy no image.
     """
 
     def __init__(self, action: FinAction, images: Mapping):
-        self._load(action, images)
-        self._check_multiplicative()
-
-    def _load(self, action: FinAction, images: Mapping) -> None:
         closure = action.closure()
-        names = {e.name for e in closure}
-        if set(images) != names:
+        if set(images) != {e.name for e in closure}:
             raise ValidationError("images must cover the closure exactly")
         kinds = {isinstance(v, Perm) for v in images.values()}
         if len(kinds) != 1:
             raise ValidationError("images must be all permutations or all matrices")
-        self.kind = "perm" if kinds.pop() else "matrix"
-        self.action = action
-        self._elements = closure
-        if self.kind == "perm":
-            dims = {v.size for v in images.values()}
-            if len(dims) != 1:
+        if kinds.pop():
+            if len({v.size for v in images.values()}) != 1:
                 raise ValidationError("images act on different dimensions")
-            self.dimension = dims.pop()
-            self._images = dict(images)
+            self._adopt(action, "perm", np.array([images[e.name].images for e in closure]))
         else:
-            mats = {}
-            dim = None
+            mats = []
             for name, v in images.items():
                 arr = np.asarray(v, dtype=float)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                     raise ValidationError(f"image of {name!r} is not square")
-                if dim is None:
-                    dim = arr.shape[0]
-                elif arr.shape[0] != dim:
+                if mats and arr.shape != mats[0].shape:
                     raise ValidationError("images act on different dimensions")
-                if np.abs(arr.T @ arr - np.eye(dim)).max() > _ORTHO_TOL:
+                if np.abs(arr.T @ arr - np.eye(len(arr))).max() > _ORTHO_TOL:
                     raise ValidationError(f"image of {name!r} is not orthogonal")
-                mats[name] = arr
-            self.dimension = dim
-            self._images = mats
-        self._inv_basis: np.ndarray | None = None
-
-    def _check_multiplicative(self) -> None:
-        """Raise at the first pair (e_i, e_j), in closure order, whose
-        product's image is not the product of their images."""
-        closure = self._elements
-        # row j of breaks(i): does the image of e_i * e_j differ from the
-        # product of the images of e_i and e_j?
-        products = self.action.product_table()
-        if self.kind == "perm":
-            rows = np.array([self._images[e.name].images for e in closure], dtype=np.intp)
-
-            def breaks(i: int) -> np.ndarray:
-                return (rows[products[i]] != rows[i][rows]).any(axis=1)
-
-        else:
-            stack = np.array([self._images[e.name] for e in closure])
-
-            def breaks(i: int) -> np.ndarray:
-                return np.abs(stack[i] @ stack - stack[products[i]]).max(axis=(1, 2)) > _ORTHO_TOL
-
+                mats.append(arr)
+            order = [action.index_of(action.element(name).perm) for name in images]
+            self._adopt(action, "matrix", np.array(mats)[np.argsort(order)])
+            self._sum_order = order  # the group average adds the images as given
+        # raise at the first pair (e_i, e_j), in closure order, where the
+        # image of e_i * e_j is not the product of their images
+        products, imgs = action.product_table(), self._images
         for i, e1 in enumerate(closure):
-            bad = np.flatnonzero(breaks(i))
+            if self.kind == "perm":
+                broken = (imgs[products[i]] != imgs[i][imgs]).any(axis=1)
+            else:
+                broken = np.abs(imgs[i] @ imgs - imgs[products[i]]).max(axis=(1, 2)) > _ORTHO_TOL
+            bad = np.flatnonzero(broken)
             if bad.size:
                 raise ValidationError(
                     f"images break multiplicativity at ({e1.name}, {closure[bad[0]].name})"
                 )
 
+    def _adopt(self, action: FinAction, kind: str, images: Sequence) -> None:
+        """Take images[i] as the image of closure element i."""
+        self.action = action
+        self.kind = kind
+        self.dimension = len(images[0])
+        self._images = images
+        self._sum_order: Sequence[int] = range(len(images))
+        self._inv_basis: np.ndarray | None = None
+
     @classmethod
-    def _by_construction(cls, action: FinAction, images: Mapping) -> "FiniteRep":
-        """A representation whose images form a homomorphism by how they
-        were built, so the N^2 pair check is skipped."""
+    def _homomorphism(cls, action: FinAction, rows: Sequence) -> "FiniteRep":
+        """A permutation representation whose rows form a homomorphism by
+        how they were built, so the N^2 pair check is skipped."""
         rep = cls.__new__(cls)
-        rep._load(action, images)
+        rep._adopt(action, "perm", rows)
         return rep
 
     @staticmethod
     def natural(action: FinAction) -> "FiniteRep":
         """Each element acts by its own permutation of the space."""
-        return FiniteRep._by_construction(action, {e.name: e.perm for e in action.closure()})
+        return FiniteRep._homomorphism(action, [e.perm.images for e in action.closure()])
 
     @staticmethod
     def regular(action: FinAction) -> "FiniteRep":
         """Left translation on the closure itself: element i acts by row i
         of the product table, and e_i e_j acts by the composite since the
         product is associative."""
-        rows = action.product_table().tolist()
-        return FiniteRep._by_construction(
-            action, {e.name: Perm(row) for e, row in zip(action.closure(), rows)}
-        )
+        return FiniteRep._homomorphism(action, action.product_table())
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self._elements)
+        return tuple(e.name for e in self.action.closure())
 
     @property
     def identity_name(self) -> str:
-        return self._elements[0].name
+        return self.action.closure()[0].name
 
     def inverse_name(self, name: str) -> str:
         return self.action.element_of(self.action.element(name).perm.inverse()).name
 
+    def _image(self, name: str):
+        return self._images[self.action.index_of(self.action.element(name).perm)]
+
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
-        img = self._images[name]
+        img = self._image(name)
         if self.kind == "perm":
             out = np.empty_like(vec)
-            out[np.array(img.images)] = vec
+            out[np.asarray(img)] = vec
             return out
         return img @ vec
 
     def matrix(self, name: str) -> np.ndarray:
-        img = self._images[name]
+        img = self._image(name)
         if self.kind == "matrix":
             return img
         mat = np.zeros((self.dimension, self.dimension))
-        mat[list(img.images), range(self.dimension)] = 1.0
+        mat[np.asarray(img), np.arange(self.dimension)] = 1.0
         return mat
 
     def invariant_basis(self) -> np.ndarray:
         """Orthonormal basis of the fixed subspace, (dimension, r).
 
         For permutation images this is exact: normalized indicators of
-        the connected components of the union of the generators' image
-        graphs, which are the orbits of every image since the images
-        form a homomorphism. For matrices it is read from the spectrum of
+        the orbits of the image, which the action reads off the
+        generators' rows. For matrices it is read from the spectrum of
         the group average.
         """
         if self._inv_basis is not None:
             return self._inv_basis
         d = self.dimension
         if self.kind == "perm":
-            gens = (self._images[self.action.element_of(g).name] for _, g in self.action.gens)
-            comps = EqRel.from_perms(d, gens).classes
+            comps = self.action.image_orbits(self._images).classes
             basis = np.zeros((d, len(comps)))
             for c, members in enumerate(comps):
                 basis[members, c] = 1.0 / math.sqrt(len(members))
-            self._inv_basis = basis
-            return basis
-        avg = np.zeros((d, d))
-        for name in self._images:
-            avg += self.matrix(name)
-        avg /= len(self._images)
-        vals, vecs = np.linalg.eigh(avg)
-        keep = vals > 0.5  # spectrum is {0, 1} up to tolerance
-        basis = vecs[:, keep]
-        if keep.any() and np.abs(avg @ basis - basis).max() > 1e-8:
-            raise CheckFailed("group average is not a clean projection")
+        else:
+            avg = np.zeros((d, d))
+            for k in self._sum_order:
+                avg += self._images[k]
+            avg /= len(self._images)
+            vals, vecs = np.linalg.eigh(avg)
+            keep = vals > 0.5  # spectrum is {0, 1} up to tolerance
+            basis = vecs[:, keep]
+            if keep.any() and np.abs(avg @ basis - basis).max() > 1e-8:
+                raise CheckFailed("group average is not a clean projection")
         self._inv_basis = basis
         return basis
 
@@ -451,7 +435,7 @@ def pd_transfer(
         [w.numerator * (scale // w.denominator) for w in weights.values()], dtype=object
     )
     images = action.closure_images()
-    agree = np.array([hit_counts(images, e.perm.images) for e in a0.elements], dtype=object)
+    agree = np.array([hit_counts(images, row) for row in a0.base.closure_images()], dtype=object)
     closure = action.closure()
     phis = [Fraction(int(v), scale * m) for v in numerators @ agree]
     values = {e.name: v for e, v in zip(closure, phis)}

@@ -1101,11 +1101,18 @@ def action_to_percolation(
             )
         triples += m
 
-    # capture value = cluster probability, element by element
-    counts = np.zeros(len(closure), dtype=np.int64)
-    for x in range(m):
-        cluster = _unionfind_labels(full_ball, bits[x])[pos]
-        counts += cluster == cluster[0]  # element 0 is the identity
+    # capture value = cluster probability, element by element, from one
+    # labelling of the m configurations side by side: point x's copy of
+    # vertex v is block vertex x * n + v; ball edges are sorted by their
+    # first column, so the opened edges come in row order
+    point, edge = np.nonzero(bits)
+    heads = full_ball.edges[edge, 0] + point * n
+    tails = (full_ball.edges[edge, 1] + point * n).astype(np.int32)
+    indptr = np.zeros(m * n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(heads, minlength=m * n), out=indptr[1:])
+    blocks = csr_matrix((np.ones(len(edge)), tails, indptr), shape=(m * n, m * n))
+    cluster = connected_components(blocks, directed=False)[1].reshape(m, n)[:, pos]
+    counts = np.count_nonzero(cluster == cluster[:, :1], axis=0)  # element 0 is the identity
     phi_values = {e.name: phi(e_rel, e.perm) for e in closure}
     cluster_probs = {e.name: Fraction(c, m) for e, c in zip(closure, counts.tolist())}
     for e in closure:

@@ -786,6 +786,27 @@ def test_target_orbits_are_the_orbits_of_every_image(make, targets):
         assert _target_orbits(a0, target) == EqRel.from_perms(target.space.size, every).classes
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_target_orbits_are_the_brute_force_orbits(data):
+    """Random homomorphic targets: copies of a0 on its own space and fixed
+    points, side by side, relabelled by a random permutation."""
+    a0 = FreeGroupAction(data.draw(st.sampled_from(SMALL_FREE))())
+    m = a0.base.space.size
+    copies = data.draw(st.integers(0, 2))
+    fixed = data.draw(st.integers(0 if copies else 1, 3))
+    size = copies * m + fixed
+    sigma = Perm(data.draw(st.permutations(range(size))))
+    images = {}
+    for e in a0.elements:
+        blocks = [c * m + y for c in range(copies) for y in e.perm.images]
+        images[e.name] = sigma * Perm(blocks + list(range(copies * m, size))) * sigma.inverse()
+    target = TargetAction(a0, FinSpace(size), images)
+    every = [p.images for p in images.values()]
+    brute = sorted({tuple(sorted({img[y] for img in every})) for y in range(size)})
+    assert list(_target_orbits(a0, target)) == brute
+
 # -- the integer transport table against the scalar definition -------------------------
 
 

@@ -402,6 +402,26 @@ def test_matrix_rep_accepts_rotations():
     assert rep.invariant_basis().shape == (2, 0)
 
 
+def test_matrix_group_average_adds_the_images_in_the_order_given():
+    """The rotations of a 7-gon plus a fixed axis, conjugated by a random
+    orthogonal matrix: the group average's rounding, and so the basis
+    bits, depend on the order of the sum, which is the mapping's order."""
+    act = shift_action(7)
+    conj = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    mats = {}
+    for j in (4, 2, 1, 0, 5, 3, 6):  # in closure order g^0..g^6 the bits differ
+        a = 2 * math.pi * j / 7
+        block = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+        mats[f"g^{j}"] = conj @ block @ conj.T
+    avg = np.zeros((3, 3))
+    for mat in mats.values():
+        avg += mat
+    avg /= 7
+    vals, vecs = np.linalg.eigh(avg)
+    basis = FiniteRep(act, mats).invariant_basis()
+    assert np.array_equal(basis, vecs[:, vals > 0.5])
+
+
 def test_matrix_rep_rejects_non_orthogonal():
     act = shift_action(2)
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -556,6 +576,28 @@ def test_avgnorm_matches_the_dense_oracle_on_random_actions(data):
     assert abs(report.norm - _dense_complement_norm(rep, sorted(q))) < 1e-9
     assert report.k == len(q)
     assert report.iterations == 0
+
+
+def _brute_orbits(images: list) -> list[tuple[int, ...]]:
+    """Orbits of a permutation group listed element by element: the
+    orbit of x is every image of x, ordered by least member."""
+    return sorted({tuple(sorted({img[x] for img in images})) for x in range(len(images[0]))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invariant_basis_is_the_brute_force_orbit_indicators(data):
+    kind = data.draw(st.sampled_from(["natural", "regular"]))
+    n = data.draw(st.integers(1, 6 if kind == "natural" else 5))
+    a, b = (Perm(tuple(data.draw(st.permutations(range(n))))) for _ in range(2))
+    action = _two_generator_action(a, b)
+    rep = FiniteRep.natural(action) if kind == "natural" else FiniteRep.regular(action)
+    images = [np.argmax(rep.matrix(name), axis=0).tolist() for name in rep.names]
+    orbits = _brute_orbits(images)
+    expected = np.zeros((rep.dimension, len(orbits)))
+    for c, orbit in enumerate(orbits):
+        expected[list(orbit), c] = 1.0 / math.sqrt(len(orbit))
+    assert np.array_equal(rep.invariant_basis(), expected)
 
 
 def test_avgnorm_whole_group_average_vanishes():
@@ -760,17 +802,67 @@ def s4_action() -> FinAction:
     )
 
 
-@pytest.mark.parametrize("make", [s4_action, klein_action, lambda: shift_action(12)])
+BUILT_ACTIONS = [s4_action, klein_action, lambda: shift_action(12)]
+
+
+def _perm_of_matrix(mat: np.ndarray) -> Perm:
+    """The permutation whose matrix sends basis vector j to basis vector
+    perm(j): the row of the 1 in column j."""
+    return Perm(np.argmax(mat, axis=0).tolist())
+
+
+@pytest.mark.parametrize("make", BUILT_ACTIONS)
 @pytest.mark.parametrize("kind", ["natural", "regular"])
 def test_built_reps_pass_the_pair_check_they_skip(make, kind):
     """natural and regular skip the all-pairs homomorphism check; run it
-    here as an oracle, and show it is live on a corrupted copy."""
+    here as an oracle, through the public constructor on the built rep's
+    own images, and show it is live on a corrupted copy."""
     act = make()
     rep = FiniteRep.natural(act) if kind == "natural" else FiniteRep.regular(act)
     elems = act.closure()
-    rep._check_multiplicative()
-    images = {e.name: rep._images[e.name] for e in elems}
-    assert images == dict(FiniteRep(act, images)._images)
+    images = {e.name: _perm_of_matrix(rep.matrix(e.name)) for e in elems}
+    checked = FiniteRep(act, images)
+    for e in elems:
+        assert np.array_equal(checked.matrix(e.name), rep.matrix(e.name))
+        assert checked.apply(e.name, np.arange(rep.dimension)).tolist() == rep.apply(
+            e.name, np.arange(rep.dimension)
+        ).tolist()
     images[elems[1].name] = images[elems[0].name]
     with pytest.raises(ValidationError, match="multiplicativity"):
         FiniteRep(act, images)
+
+
+@pytest.mark.parametrize("make", BUILT_ACTIONS)
+def test_built_rep_matrices_are_the_closure_perms_and_product_rows(make):
+    """natural's image of e is e's own permutation; regular's image of e_i
+    sends e_j to e_i e_j, row i of the product table."""
+    act = make()
+    natural, regular = FiniteRep.natural(act), FiniteRep.regular(act)
+    products = act.product_table()
+    for i, e in enumerate(act.closure()):
+        assert _perm_of_matrix(natural.matrix(e.name)) == e.perm
+        assert _perm_of_matrix(regular.matrix(e.name)).images == tuple(products[i].tolist())
+        vec = np.arange(act.space.size) * 10.0
+        assert natural.apply(e.name, vec)[list(e.perm.images)].tolist() == vec.tolist()
+
+
+@pytest.mark.parametrize("make", BUILT_ACTIONS + [lambda: _two_orbit_action()])
+def test_natural_rep_builds_no_closure_table(make, monkeypatch):
+    """natural wraps the closure's own image tuples: neither the (N, m)
+    image table nor the N x N product table is built for it."""
+    act = make()
+
+    def refuse(name):
+        def method(self):
+            raise AssertionError(f"{name} was built")
+
+        return method
+
+    for name in ("closure_images", "product_table"):
+        monkeypatch.setattr(FinAction, name, refuse(name))
+    rep = FiniteRep.natural(act)
+    for e in act.closure():
+        rep.matrix(e.name)
+        rep.apply(e.name, np.zeros(rep.dimension))
+    rep.invariant_basis()
+    assert averaging_norm(rep, rep.names).k == len(rep.names)

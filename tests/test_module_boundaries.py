@@ -175,3 +175,35 @@ def test_the_guard_sees_model_products(tmp_path):
         "y = self.factors[0].mul(a, b)\n"
     )
     assert _model_products(src) == ["mod.py:5 calls .mul", "mod.py:8 calls .mul"]
+
+
+def _perm_constructions(path: Path) -> list[str]:
+    """Calls of `Perm(...)`, bare or as an attribute (`ergcore.Perm(...)`):
+    a validated permutation built from an image row, where the closure
+    tables or the closure's own permutations already hold it. Class
+    methods such as `Perm.identity(...)` and `isinstance(v, Perm)` do not
+    count."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Perm":
+                found.append(node.lineno)
+    return [f"{path.name}:{line} calls Perm" for line in sorted(found)]
+
+
+def test_kazhdan_builds_no_perm_per_image_row():
+    assert _perm_constructions(PACKAGE / "kazhdan.py") == []
+
+
+def test_the_guard_sees_perm_constructions(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "rows = [Perm(row) for row in table.tolist()]\n"
+        "p = ergcore.Perm(images)\n"
+        "ok = Perm.identity(4)\n"
+        "ok = isinstance(v, Perm)\n"
+        "ok = perm(3)\n"
+    )
+    assert _perm_constructions(src) == ["mod.py:1 calls Perm", "mod.py:2 calls Perm"]
