@@ -22,7 +22,10 @@ statistics without labels, with a kernel chosen by the ball's shape: on
 tree balls the forest kernel reads every grid point off per-vertex
 thresholds, and on other balls the contraction kernel merges components
 grid point by grid point as edges open (Newman and Ziff's order). Both
-give the counters that `cluster_stats` over `percolate` gives.
+give the counters that `cluster_stats` over `percolate` gives. The
+contraction kernel and the dictionary label their sparse graphs with
+scipy's `connected_components`; scipy is imported on the first such
+labelling, so tree sweeps and the exact side never load it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
 from .ergcore import EqRel, FinAction, FinSpace, Perm, phi
@@ -825,6 +826,24 @@ def _forest_chunk(
     return [[int(c) for c in totals[j]] for j in pos]
 
 
+def connected_components(graph, directed: bool = True):
+    """scipy's sparse labeller: (component count, label per vertex).
+
+    scipy is imported here, on the first labelling, not with the module.
+    """
+    from scipy.sparse import csgraph
+
+    return csgraph.connected_components(graph, directed=directed)
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """Square CSR matrix over len(indptr) - 1 vertices, from its own arrays."""
+    from scipy.sparse import csr_matrix
+
+    n = len(indptr) - 1
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _contract_chunk(
     ball: CayleyBall,
     p_list: list[float],
@@ -884,7 +903,7 @@ def _contract_chunk(
                     b = b[np.argsort(a)]
                 indptr = np.zeros(ncomp + 1, dtype=np.int32)
                 np.cumsum(np.bincount(a, minlength=ncomp), out=indptr[1:])
-                graph = csr_matrix((ones[: len(new)], b, indptr), shape=(ncomp, ncomp))
+                graph = _csr(ones[: len(new)], b, indptr)
                 ncomp, comp = connected_components(graph, directed=False)
                 cur = comp if cur is identity else comp[cur]
             seen[j] = cur[watch]
@@ -1110,7 +1129,7 @@ def action_to_percolation(
     tails = (full_ball.edges[edge, 1] + point * n).astype(np.int32)
     indptr = np.zeros(m * n + 1, dtype=np.int32)
     np.cumsum(np.bincount(heads, minlength=m * n), out=indptr[1:])
-    blocks = csr_matrix((np.ones(len(edge)), tails, indptr), shape=(m * n, m * n))
+    blocks = _csr(np.ones(len(edge)), tails, indptr)
     cluster = connected_components(blocks, directed=False)[1].reshape(m, n)[:, pos]
     counts = np.count_nonzero(cluster == cluster[:, :1], axis=0)  # element 0 is the identity
     phi_values = {e.name: phi(e_rel, e.perm) for e in closure}

@@ -593,20 +593,25 @@ MUST_FINISH_ARGV = {
 }
 
 
-def _run_cli_process(argv) -> tuple[subprocess.CompletedProcess, float]:
-    """Run the CLI in a fresh interpreter with the default caps."""
+def _run_python_process(args) -> tuple[subprocess.CompletedProcess, float]:
+    """Run a fresh interpreter on `args` with the default caps."""
     src = str(Path(erglab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("ERGLAB_CAPS", None)
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "erglab.cli", *argv],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=CAP_EXIT_SECONDS,
     )
     return done, time.perf_counter() - start
+
+
+def _run_cli_process(argv) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a fresh interpreter with the default caps."""
+    return _run_python_process(["-m", "erglab.cli", *argv])
 
 
 @pytest.mark.parametrize("name", list(CAP_TRIPPING_ARGV))
@@ -633,6 +638,72 @@ def test_a_count_too_long_to_print_still_exits_one():
     assert done.returncode == 1
     assert done.stderr.startswith("error: cap 'full_group' exceeded: need at least 2^")
     assert "Traceback" not in done.stderr
+
+
+def _run_importtime_process(args) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run a fresh interpreter on `args` under `-X importtime`: the process,
+    its stderr without the import lines, and the modules it imported."""
+    done, _ = _run_python_process(["-X", "importtime", *args])
+    lines = done.stderr.splitlines(keepends=True)
+    timed = [line for line in lines if line.startswith("import time:")]
+    done.stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return done, {line.rsplit("|", 1)[1].strip() for line in timed[1:]}  # [0] is the header
+
+
+def _loads_scipy(modules: set[str]) -> bool:
+    return any(name == "scipy" or name.startswith("scipy.") for name in modules)
+
+
+def test_importing_erglab_leaves_scipy_out():
+    done, modules = _run_importtime_process(
+        ["-c", "import erglab, erglab.cli, erglab.instances"]
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert "erglab.cli" in modules
+    assert not _loads_scipy(modules)
+
+
+# Only the sparse labeller needs scipy: the contraction kernel (sweeps and
+# percolation on balls that are not trees) and the action-to-percolation
+# dictionary. name -> (argv, whether the command loads scipy)
+SCIPY_ARGV = {
+    "version": (("--version",), False),
+    "generate": (("generate", "--kind", "coinduce_ready", "--size", "4,2"), False),
+    "coinduce": (("coinduce", "--instance", "{ci}"), False),
+    "verify_thm25": (("verify", "--suite", "thm25", "--count", "4"), False),
+    "verify_kazhdan_forms": (("verify", "--suite", "kazhdan_forms", "--count", "4"), False),
+    "kazhdan_amplify": (("kazhdan", "amplify", "--k", "3", "--eps", "0.1", "--n", "2"), False),
+    "sweep_f2": (
+        ("sweep", "--model", "f2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"), False
+    ),
+    "percolate_f2": (
+        ("percolate", "--model", "f2", "--radius", "5", "--p", "0.5", "--trials", "6"), False
+    ),
+    "sweep_z2": (
+        ("sweep", "--model", "z2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"), True
+    ),
+    "verify_phi_correspondence": (
+        ("verify", "--suite", "phi_correspondence", "--count", "4"), True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SCIPY_ARGV))
+def test_scipy_loads_only_for_sparse_labellings(tmp_path, capsys, monkeypatch, name):
+    ci = tmp_path / "ci.json"
+    ci.write_text(json.dumps(make_coinduce_ready(4, 2)))
+    template, loads = SCIPY_ARGV[name]
+    argv = [arg.format(ci=ci) for arg in template]
+    done, modules = _run_importtime_process(["-m", "erglab.cli", *argv])
+    assert done.returncode == 0 and done.stderr == ""
+    assert _loads_scipy(modules) is loads
+    monkeypatch.delenv("ERGLAB_CAPS", raising=False)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version
+        code = exc.code
+    assert code == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_cap_message_keeps_the_count_exact():

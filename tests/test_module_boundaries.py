@@ -207,3 +207,58 @@ def test_the_guard_sees_perm_constructions(tmp_path):
         "ok = perm(3)\n"
     )
     assert _perm_constructions(src) == ["mod.py:1 calls Perm", "mod.py:2 calls Perm"]
+
+
+def _eager_scipy_imports(path: Path) -> list[str]:
+    """Imports of scipy that run when the module is imported: at top
+    level, under a top-level `if`/`try`, or in a class body. An import
+    inside a function body runs on the first call and does not count."""
+    found = []
+    todo = [ast.parse(path.read_text(), filename=str(path))]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                todo.append(node)
+                continue
+            for module in modules:
+                if module == "scipy" or module.startswith("scipy."):
+                    found.append((node.lineno, module))
+    return [f"{path.name}:{line} imports {module}" for line, module in sorted(found)]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _eager_scipy_imports(path)]
+    assert found == []
+
+
+def test_the_guard_sees_eager_scipy_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import scipy\n"
+        "from scipy.sparse import x\n"
+        "def label(g):\n"
+        "    import scipy\n"
+        "    from scipy.sparse import x\n"
+        "try:\n"
+        "    import numpy, scipy.sparse.csgraph as cg\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    from scipy import linalg\n"
+        "    def f(self):\n"
+        "        from scipy import linalg\n"
+        "from .scipy import helper\n"
+        "import scipyish\n"
+    )
+    assert _eager_scipy_imports(src) == [
+        "mod.py:1 imports scipy",
+        "mod.py:2 imports scipy.sparse",
+        "mod.py:7 imports scipy.sparse.csgraph",
+        "mod.py:11 imports scipy",
+    ]

@@ -844,7 +844,8 @@ def test_contraction_kernel_peak_allocation(grid, bound_mib):
     zd = ZdModel(2)
     ball = cayley_ball(zd, zd.basis_generators(), 64)
     tidx = [ball.index_of(t) for t in [(1, 0), (0, 1), (8, 8)]]
-    _contract_chunk(ball, grid, 0, 1, 1, tidx)  # scipy's first-call set-up is not the kernel's
+    # the warm call imports scipy and runs its first-call set-up, neither the kernel's
+    _contract_chunk(ball, grid, 0, 1, 1, tidx)
     tracemalloc.start()
     try:
         _contract_chunk(ball, grid, 0, 10, 1, tidx)
@@ -1314,18 +1315,21 @@ def test_sweeps_and_configurations_never_decode_vertices(model, monkeypatch):
 
 
 _F2_R13_SWEEP = """
-import resource
 from erglab import FreeModel, cayley_ball, sweep
 f2 = FreeModel(2)
 ball = cayley_ball(f2, f2.letter_generators(), 13)
 sweep(ball, [0.3, 0.4], 2, 1, [(1,), (1, 2)])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
 """
 # Peak RSS in MB of a fresh process that builds the F_2 radius-13 ball
-# (3,188,645 vertices) and sweeps it: about 316 MB with numpy 2.4 and
-# scipy 1.17 on Linux, where ru_maxrss counts kilobytes. The bound keeps
-# over 30% headroom; a kernel that holds a few more ball-sized arrays, a
-# boundary tuple or a second parent array per sweep goes past it.
+# (3,188,645 vertices) and sweeps it: about 287 MB with numpy 2.4 on
+# Linux (a tree sweep never imports scipy). The child reads its own
+# VmHWM in kilobytes, not ru_maxrss: exec keeps the maxrss of the
+# process that started it, so under a pytest process that once held
+# 525 MB ru_maxrss reads 525 MB whatever the sweep takes. The bound
+# keeps 50% headroom; a kernel that holds a few more ball-sized arrays,
+# a boundary tuple or a second parent array per sweep goes past it.
 F2_R13_PEAK_MB = 430
 
 
