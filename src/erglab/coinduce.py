@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceeded, CheckFailed, ValidationError, get_cap
-from .ergcore import EqRel, FinAction, FinSpace, GroupElement, Perm, in_full_group, orbit_relation, phi
+from .ergcore import EqRel, FinAction, FinSpace, GroupElement, Perm, in_full_group, orbit_relation
 from .subrel import ChoiceSystem, choice_functions, index_cocycle
 
 
@@ -611,15 +611,10 @@ def phi_kn(
     return Fraction(hits, cs.size)
 
 
-def _pair_counts(a: np.ndarray, b: np.ndarray, base: int):
-    """(a * base + b, count) for each value pair (a[i], b[i]) that occurs."""
-    cells = a * base + b
-    if base * base <= len(cells):
-        counts = np.bincount(cells, minlength=base * base).tolist()
-        return ((cell, c) for cell, c in enumerate(counts) if c)
-    # sparse: base^2 cells would outnumber the points (one slot, large target)
-    present, counts = np.unique(cells, return_counts=True)
-    return zip(present.tolist(), counts.tolist())
+def _fold_dtype(bound: int):
+    """The dtype of an exact integer fold whose partial sums stay within
+    `bound` in absolute value: int64 when that fits, else Python ints."""
+    return np.int64 if bound < 2**63 else object
 
 
 def check_thm33_identity(
@@ -634,7 +629,10 @@ def check_thm33_identity(
     direct enumeration; both must agree with the closed form exactly.
 
     The factorized route counts the points by their slot-0 element
-    (a bincount of a deltas column) and folds the counts in Python ints.
+    (a bincount of a deltas column) and folds the counts in Python ints
+    into the overlap times X * Y^2. Both comparisons are cross-multiplied
+    in integers; Fractions are built only for the report, whose three
+    sides, proven equal, are one value.
     """
     g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
@@ -642,7 +640,7 @@ def check_thm33_identity(
     b_pts = sorted(set(int(v) for v in b_set))
     if not set(b_pts) <= set(range(sys.y_size)):
         raise ValidationError("subset leaves the target space")
-    y_size = sys.y_size
+    x_size, y_size, b = sys.x_size, sys.y_size, len(b_pts)
     in_b = np.zeros(y_size, dtype=bool)
     in_b[np.array(b_pts, dtype=np.intp)] = True
     lands = in_b[sys.target_rows()]  # lands[j, y]: element j sends y into B
@@ -650,9 +648,6 @@ def check_thm33_identity(
     if not kept.all():
         name = sys.a0.elements[np.argmin(kept.all(axis=1))].name
         raise ValidationError(f"subset is not invariant under element {name}")
-    p = Fraction(len(b_pts), y_size)
-    phi_val = phi(sys.cs.E, g)
-    rhs = p * phi_val + p * p * (1 - phi_val)
 
     # A point whose slot permutation fixes 0 pairs B with its image under
     # its slot-0 element; otherwise the two coordinates are independent.
@@ -664,25 +659,28 @@ def check_thm33_identity(
     stay = kept.sum(axis=1).tolist()  # y in B sent into B
     land = lands.sum(axis=1).tolist()  # y sent into B
     total = sum(  # the overlap times X * Y^2
-        cells[n_el + j] * y_size * stay[j] + cells[j] * len(b_pts) * land[j] for j in range(n_el)
+        cells[n_el + j] * y_size * stay[j] + cells[j] * b * land[j] for j in range(n_el)
     )
-    lhs_fact = Fraction(total, sys.x_size * y_size * y_size)
+    scale = x_size * y_size * y_size
 
-    lhs_mat = None
+    count = None
     if sys.materialized:
         starts_in_b = in_b[sys.digit_column(0)]
-        count = np.count_nonzero(starts_in_b & starts_in_b[sys.product_images(g)])
-        lhs_mat = Fraction(int(count), sys.product_size)
-        if lhs_mat != lhs_fact:
+        count = int(np.count_nonzero(starts_in_b & starts_in_b[sys.product_images(g)]))
+        if count * scale != total * sys.product_size:
             raise CheckFailed("factorized and materialized overlap counts disagree")
-    if lhs_fact != rhs:
+    ids = sys.cs.E.class_ids()
+    h = int(np.count_nonzero(ids[list(g.images)] == ids))  # X * phi(E, g)
+    # the closed form p*phi + p^2*(1 - phi) times X * Y^2, with p = b / Y
+    if total != b * (h * y_size + b * (x_size - h)):
         raise CheckFailed("overlap identity violated")
+    lhs = Fraction(total, scale)
     return MixingIdentityReport(
-        p=p,
-        phi_value=phi_val,
-        lhs_factorized=lhs_fact,
-        lhs_materialized=lhs_mat,
-        rhs=rhs,
+        p=Fraction(b, y_size),
+        phi_value=Fraction(h, x_size),
+        lhs_factorized=lhs,
+        lhs_materialized=None if count is None else lhs,
+        rhs=lhs,
         verdict="pass",
     )
 
@@ -698,16 +696,20 @@ def check_prop34_pairings(
     against the k-th copy equals (slot statistic at (k, n)) * ||f||^2.
     Factorized and materialized routes must both match exactly. Reports
     come keyed by (k, n) in row-major order, and the first failing pair
-    in that order raises.
+    in that order raises, the route check before the identity.
 
-    Both routes fold in integers: f is scaled to integer numerators over
-    the least common denominator D, once per call with its invariance
-    check and norm. The factorized route counts the points sending k to
-    n by their element deltas[x, n] (one bincount over every (k, n)).
-    The materialized route counts the (ybar_k, g.ybar_n) value pairs
-    over all product codes, from the digit columns and the product
-    images, and folds the Y^2 cells with Python ints; each route builds
-    one Fraction per pair at the end.
+    Every slot pair is folded at once, in integers: f is scaled to
+    integer numerators over the least common denominator D, once per
+    call with its invariance check and norm. The factorized route counts
+    the points sending k to n by their element deltas[x, n] (one
+    bincount) and weighs each element by sum_y f(d(y)) f(y) (one matrix
+    product). The materialized route is one more matrix product, the
+    numerators of the P x N digit columns against those of their images.
+    The products run in int64 while max|num|^2 times their number of
+    terms fits, else in Python ints, so they stay exact at any size.
+    Both comparisons are cross-multiplied in Python ints; Fractions are
+    built only for the reports, one per distinct slot statistic, whose
+    three sides, proven equal, are one value.
     """
     g = sys.b0.resolve(gamma)
     if not in_full_group(sys.cs.F, g):
@@ -732,8 +734,9 @@ def check_prop34_pairings(
     if moves.any():
         name = sys.a0.elements[np.argmax(moves.any(axis=1))].name
         raise ValidationError(f"observable is not invariant under element {name}")
-    y_size = sys.y_size
-    norm_sq = Fraction(sum(v * v for v in nums), den * den * y_size)
+    x_size, y_size = sys.x_size, sys.y_size
+    norm_num = sum(v * v for v in nums)
+    norm_sq = Fraction(norm_num, den * den * y_size)
 
     # A point whose slot permutation sends k elsewhere pairs two
     # independent coordinates, so it adds the product of two means of f:
@@ -741,42 +744,43 @@ def check_prop34_pairings(
     # each with sum_y f(d(y)) f(y) for its element d = deltas[x, n].
     slots, deltas = sys.transport_rows(g)
     n_el = len(targets)
-    elements = deltas[np.arange(sys.x_size)[:, None], slots]  # deltas[x, slots[x, k]]
+    elements = deltas[np.arange(x_size)[:, None], slots]  # deltas[x, slots[x, k]]
     cells = (np.arange(n_slots) * n_slots + slots) * n_el + elements
     counts = np.bincount(cells.ravel(), minlength=n_slots * n_slots * n_el)
-    counts = counts.reshape(n_slots, n_slots, n_el).tolist()
-    element_sums = [sum(nums[t] * v for t, v in zip(row, nums)) for row in targets.tolist()]
-
+    counts = counts.reshape(n_slots, n_slots, n_el)
     images = sys.product_images(g) if sys.materialized else None
-    moved: dict[int, np.ndarray] = {}
+    terms = max(x_size * y_size, 0 if images is None else sys.product_size)
+    fnum = np.array(nums, dtype=_fold_dtype(max((v * v for v in nums), default=0) * terms))
+    element_sums = (fnum[targets] * fnum).sum(axis=1)
+    hits = counts.sum(axis=2).tolist()  # points whose slot permutation sends k to n
+    totals = (counts @ element_sums).tolist()  # the pairings times X * Y * D^2
+    paired = None
+    if images is not None:
+        digits = fnum[np.stack([sys.digit_column(n) for n in range(n_slots)], axis=1)]
+        paired = (digits.T @ digits[images]).tolist()  # the pairings times P * D^2
+
+    scale, size = x_size * y_size, sys.product_size
+    shared: dict[int, PairingReport] = {}
     reports = {}
     for k, n in pairs:
-        weights = counts[k][n]
-        hits = sum(weights)  # points whose slot permutation sends k to n
-        total = sum(c * s for c, s in zip(weights, element_sums) if c)
-        lhs_fact = Fraction(total, sys.x_size * y_size * den * den)
-        phi_val = Fraction(hits, sys.x_size)  # phi_kn(cs, b0, k, n, g) off the transport rows
-        rhs = phi_val * norm_sq
-
-        lhs_mat = None
-        if images is not None:
-            if n not in moved:
-                moved[n] = sys.digit_column(n)[images]
-            cells_mat = _pair_counts(sys.digit_column(k), moved[n], y_size)
-            total = sum(c * nums[cell // y_size] * nums[cell % y_size] for cell, c in cells_mat)
-            lhs_mat = Fraction(total, sys.product_size * den * den)
-            if lhs_mat != lhs_fact:
-                raise CheckFailed("factorized and materialized pairings disagree")
-        if lhs_fact != rhs:
+        total, hit = totals[k][n], hits[k][n]
+        if paired is not None and paired[k][n] * scale != total * size:
+            raise CheckFailed("factorized and materialized pairings disagree")
+        if total != hit * norm_num:
             raise CheckFailed("pairing identity violated")
-        reports[(k, n)] = PairingReport(
-            norm_sq=norm_sq,
-            phi_kn_value=phi_val,
-            lhs_factorized=lhs_fact,
-            lhs_materialized=lhs_mat,
-            rhs=rhs,
-            verdict="pass",
-        )
+        report = shared.get(hit)
+        if report is None:
+            phi_val = Fraction(hit, x_size)  # phi_kn(cs, b0, k, n, g) off the transport rows
+            rhs = phi_val * norm_sq
+            report = shared[hit] = PairingReport(
+                norm_sq=norm_sq,
+                phi_kn_value=phi_val,
+                lhs_factorized=rhs,
+                lhs_materialized=None if paired is None else rhs,
+                rhs=rhs,
+                verdict="pass",
+            )
+        reports[(k, n)] = report
     return reports
 
 

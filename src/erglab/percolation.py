@@ -650,10 +650,6 @@ class ClusterStats:
     def tau_hat(self, t: int) -> float:
         return self.tau_counts[t] / self.n
 
-    def tau_se(self, t: int) -> float:
-        h = self.tau_hat(t)
-        return math.sqrt(h * (1.0 - h) / self.n)
-
 
 def cluster_stats(configs: Iterable[PercConfig], targets: Sequence = ()) -> ClusterStats:
     """Fold the `cluster_labels` of a stream of configurations over one

@@ -41,7 +41,8 @@ from erglab import (
     phi_kn,
     semidirect_mul,
 )
-from erglab.coinduce import _target_orbits
+import erglab.coinduce as coinduce_module
+from erglab.coinduce import MixingIdentityReport, PairingReport, _target_orbits
 from erglab.subrel import ChoiceSystem
 from erglab.coinduce import invariant_observables as _invariant_observables
 from erglab.coinduce import target_orbit_sets as _target_orbit_sets
@@ -1243,3 +1244,188 @@ def test_the_target_action_error_does_not_follow_the_hash_seed():
         assert done.returncode == 0, done.stderr
         messages.add(done.stdout)
     assert messages == {"images break multiplicativity at (d^1, d^1)\n"}
+
+
+# -- the integer folds of the two identities ------------------------------------------
+
+
+def _doubled_system(m, idx, cap=None):
+    spec = load_instance(make_coinduce_ready(m, idx)).coinduce
+    target = _doubled_target(spec.a0, spec.a)
+    return coinduced_action(spec.a0, spec.b0, target, cap), target
+
+
+def _corrupt_transport(monkeypatch, corrupt):
+    """Route every later transport_rows call through corrupt(slots, deltas).
+    Product maps that coinduced_action already built stay as they were."""
+    rows = CoinducedSystem.transport_rows
+    monkeypatch.setattr(CoinducedSystem, "transport_rows", lambda self, g: corrupt(*rows(self, g)))
+
+
+def _raised(call) -> str | None:
+    try:
+        call()
+    except CheckFailed as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap, message", [
+    (None, "factorized and materialized overlap counts disagree"),
+    (1, "overlap identity violated"),
+])
+def test_overlap_check_fails_on_a_corrupted_slot_column(monkeypatch, cap, message):
+    """Reversing every slot permutation moves the points that fix slot 0:
+    the factorized overlap leaves the materialized count (which then
+    fails first) and the closed form."""
+    sys, _ = _doubled_system(4, 2, cap)
+    b_set = [0, 2]  # one of the two target orbits
+    assert len(b_set) < sys.y_size
+    gammas = sys.b0.closure()
+    for gamma in gammas:
+        fixed = np.count_nonzero(sys.transport_rows(gamma.perm)[0][:, 0] == 0)
+        assert 2 * fixed != sys.x_size  # so reversing the slots moves the count
+    _corrupt_transport(monkeypatch, lambda slots, deltas: (slots[:, ::-1], deltas))
+    for gamma in gammas:
+        with pytest.raises(CheckFailed, match=f"^{message}$"):
+            check_thm33_identity(sys, b_set, gamma.name)
+
+
+def test_pairing_route_check_fails_exactly_at_the_moved_slot_pairs(monkeypatch):
+    """Rotating one point's slot permutation moves that point to other
+    slot pairs on the factorized route only. The pairs whose counts moved
+    fail the route check, alone or in any call; the others still pass
+    with their uncorrupted reports."""
+    sys, target = _doubled_system(6, 3)
+    f = _invariant_observables(sys.a0, target)[0]
+    gamma = sys.b0.closure()[1]
+    clean = check_prop34_pairings(sys, f, gamma.name)
+    slots = sys.transport_rows(gamma.perm)[0]
+    rotated = slots.copy()
+    rotated[2] = np.roll(slots[2], 1)
+    _corrupt_transport(monkeypatch, lambda s, d: (rotated if s is slots else s, d))
+
+    def hits(table):
+        return {(k, n): int(np.count_nonzero(table[:, k] == n)) for k, n in clean}
+
+    moved = {pair for pair, h in hits(rotated).items() if h != hits(slots)[pair]}
+    assert moved and len(moved) < len(clean)
+    disagree = "factorized and materialized pairings disagree"
+    for pair in clean:
+        raised = _raised(lambda: check_prop34_pairings(sys, f, gamma.name, [pair]))
+        assert raised == (disagree if pair in moved else None)
+    with pytest.raises(CheckFailed, match=f"^{disagree}$"):
+        check_prop34_pairings(sys, f, gamma.name)
+    kept = [pair for pair in clean if pair not in moved]
+    assert check_prop34_pairings(sys, f, gamma.name, kept) == {p: clean[p] for p in kept}
+
+
+def test_an_overflowing_int64_fold_fails_the_pairing_at_its_first_pair(monkeypatch):
+    """The pairing identity holds for every transport (invariance of f
+    gives each element the weight sum f^2), so what it guards is the
+    exactness of the fold. Forced into int64 with observables scaled by
+    3^20, the fold wraps at every pair that a point reaches: the first
+    such pair in row-major order fails both checks, and its route check
+    is the one reported; the pairs before it still pass."""
+    monkeypatch.setattr(coinduce_module, "_fold_dtype", lambda bound: np.int64)
+    factorized, target = _doubled_system(4, 2, cap=1)
+    materialized, _ = _doubled_system(4, 2)
+    f = [v * 3**20 for v in _invariant_observables(materialized.a0, target)[0]]
+    gamma = materialized.b0.element("g^1")
+    slots = materialized.transport_rows(gamma.perm)[0]
+    pairs = list(itertools.product(range(materialized.N), repeat=2))
+    first = next(i for i, (k, n) in enumerate(pairs) if np.any(slots[:, k] == n))
+    assert first > 0  # g^1 moves slot 0 at every point
+    for sys, message in (
+        (materialized, "factorized and materialized pairings disagree"),
+        (factorized, "pairing identity violated"),
+    ):
+        assert check_prop34_pairings(sys, f, gamma.name, pairs[:first])
+        assert _raised(lambda: check_prop34_pairings(sys, f, gamma.name, [pairs[first]])) == message
+        with pytest.raises(CheckFailed, match=f"^{message}$"):
+            check_prop34_pairings(sys, f, gamma.name)
+
+
+def _thm33_oracle(sys, b_set, gamma) -> MixingIdentityReport:
+    """The overlap identity folded point by point in Fractions."""
+    g = sys.b0.resolve(gamma)
+    x_size, y_size = sys.x_size, sys.y_size
+    p = Fraction(len(b_set), y_size)
+    phi_val = phi(sys.cs.E, g)
+    slots, deltas = sys.transport_rows(g)
+    rows = sys.target_rows().tolist()
+    lhs_fact = Fraction(0)
+    for x in range(x_size):
+        image = rows[deltas[x, 0]]
+        if slots[x, 0] == 0:  # B against its own image
+            lhs_fact += Fraction(sum(1 for v in b_set if image[v] in b_set), x_size * y_size)
+        else:  # B against the preimage of B in an independent coordinate
+            lhs_fact += p * Fraction(sum(1 for v in image if v in b_set), x_size * y_size)
+    lhs_mat = None
+    if sys.materialized:
+        first = sys.digit_column(0).tolist()
+        images = sys.product_images(g).tolist()
+        count = sum(1 for c, d in enumerate(images) if first[c] in b_set and first[d] in b_set)
+        lhs_mat = Fraction(count, sys.product_size)
+    rhs = p * phi_val + p * p * (1 - phi_val)
+    return MixingIdentityReport(p, phi_val, lhs_fact, lhs_mat, rhs, "pass")
+
+
+def _prop34_oracle(sys, f, gamma) -> dict[tuple[int, int], PairingReport]:
+    """The pairing identity folded pair by pair and point by point in Fractions."""
+    g = sys.b0.resolve(gamma)
+    f = [Fraction(v) for v in f]
+    x_size, y_size = sys.x_size, sys.y_size
+    norm_sq = sum(v * v for v in f) / y_size
+    slots, deltas = sys.transport_rows(g)
+    weights = [sum(f[t] * v for t, v in zip(row, f)) for row in sys.target_rows().tolist()]
+    if sys.materialized:
+        images = sys.product_images(g).tolist()
+        digits = [sys.digit_column(n).tolist() for n in range(sys.N)]
+    reports = {}
+    for k, n in itertools.product(range(sys.N), repeat=2):
+        sends = [x for x in range(x_size) if slots[x, k] == n]
+        phi_val = Fraction(len(sends), x_size)
+        lhs_fact = sum((weights[deltas[x, n]] for x in sends), Fraction(0)) / (x_size * y_size)
+        lhs_mat = None
+        if sys.materialized:
+            total = sum(f[digits[k][c]] * f[digits[n][d]] for c, d in enumerate(images))
+            lhs_mat = total / sys.product_size
+        reports[(k, n)] = PairingReport(norm_sq, phi_val, lhs_fact, lhs_mat, phi_val * norm_sq, "pass")
+    return reports
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_folds_match_the_fraction_oracle(data):
+    """Both checks return the oracle's reports on random coinduce_ready
+    systems, materialized or factorized. Each observable also runs scaled
+    by 3^40, whose squares leave int64, so both fold dtypes run."""
+    m = data.draw(st.sampled_from([2, 4, 6]), label="m")
+    idx = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]), label="idx")
+    cap = data.draw(st.sampled_from([None, 1]), label="cap")
+    sys, target = _doubled_system(m, idx, cap)
+    gamma = data.draw(st.sampled_from(sys.b0.closure()), label="gamma").name
+    b_set = data.draw(st.sampled_from(_target_orbit_sets(sys.a0, target)), label="b_set")
+    f = data.draw(st.sampled_from(_invariant_observables(sys.a0, target)), label="f")
+    oracle = _thm33_oracle(sys, sorted(b_set), gamma)
+    assert oracle.lhs_factorized == oracle.rhs and oracle.lhs_materialized in (None, oracle.rhs)
+    assert check_thm33_identity(sys, sorted(b_set), gamma) == oracle
+
+    fold = coinduce_module._fold_dtype
+    dtypes = []
+
+    def spy(bound):
+        dtypes.append(fold(bound))
+        return dtypes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coinduce_module, "_fold_dtype", spy)
+        for scale in (1, 3**40):
+            scaled = [v * scale for v in f]
+            oracle = _prop34_oracle(sys, scaled, gamma)
+            for rep in oracle.values():
+                assert rep.lhs_factorized == rep.rhs and rep.lhs_materialized in (None, rep.rhs)
+            reports = check_prop34_pairings(sys, scaled, gamma)
+            assert list(reports) == list(oracle) and reports == oracle
+    assert dtypes == [np.int64, object]
