@@ -42,11 +42,12 @@ class FreeGroupAction:
     are the same rules on one name or point pair. None of them reads the
     base action's N x N `product_table`, which would take N^2 entries
     (3.2 GB at the default closure cap of 20000) where these keep O(m).
+    The closure is bounded by the `closure` cap.
     """
 
-    def __init__(self, base: FinAction, cap: int | None = None):
+    def __init__(self, base: FinAction):
         self.base = base
-        self.elements: tuple[GroupElement, ...] = base.closure(cap)
+        self.elements: tuple[GroupElement, ...] = base.closure()
         fixer = base.fixing_element()
         if fixer is not None:
             raise ValidationError(
@@ -73,9 +74,6 @@ class FreeGroupAction:
 
     def perm_of(self, name: str) -> Perm:
         return self.base.element(name).perm
-
-    def name_of(self, p: Perm) -> str:
-        return self.base.element_of(p).name
 
     def mult_indices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Element indices of the products left * right, elementwise: the
@@ -126,10 +124,9 @@ class TargetAction:
     The images are one read-only (G0, Y) integer table `rows` in the
     group's closure order: row i is the permutation of element i, and
     `perm` reads a row by element name. The table is validated as a
-    homomorphism on the identity and the generators: rows[g_s * e_j] =
-    rows[g_s][rows[e_j]] for every element e_j, read as one gather per
-    row of the base action's step table. The first failing pair is
-    named, generators by name, then elements in closure order.
+    homomorphism by the base action's `first_broken_step`, which names
+    the first failing pair, generators by name, then elements in closure
+    order.
     """
 
     def __init__(
@@ -151,20 +148,10 @@ class TargetAction:
         elements = group.elements
         rows = np.array([images[e.name].images for e in elements], dtype=np.intp)
         rows = rows.reshape(len(elements), space.size)
-        # images[g h] = images[g] images[h] for all g follows, by induction on
-        # the word length of g, from the identity and the generators alone
-        ident = group.identity_name
-        if not np.array_equal(rows[0], np.arange(space.size)):
-            raise ValidationError(f"images break multiplicativity at ({ident}, {ident})")
-        steps = group.base.step_table()
-        gens = {elements[row[0]].name: row for row in steps}  # steps[s, 0] is g_s
-        for name in sorted(gens):
-            row = gens[name]
-            bad = np.flatnonzero((rows[row] != rows[row[0]][rows]).any(axis=1))
-            if bad.size:
-                raise ValidationError(
-                    f"images break multiplicativity at ({name}, {elements[bad[0]].name})"
-                )
+        broken = group.base.first_broken_step(rows)
+        if broken is not None:
+            g, e = (elements[i].name for i in broken)
+            raise ValidationError(f"images break multiplicativity at ({g}, {e})")
         rows.setflags(write=False)
         self.group = group
         self.space = space
@@ -281,8 +268,9 @@ class CoinducedSystem:
 
     Holds the base free action (a0), the ambient action (b0), the
     target action (a), the choice system, and accessors for the product
-    maps. The product space X x Y^N is materialized only under a cap;
-    identities fall back to factorized counting above it.
+    maps. The product space X x Y^N is materialized only under the
+    `product` cap, read when the system is built; identities fall back
+    to factorized counting above it.
 
     The point (x, ybar) of the product has the code
     x * Y^N + sum_n ybar[n] * Y^(N-1-n). The materialized routes never
@@ -299,7 +287,7 @@ class CoinducedSystem:
     and `product_images` read for all points at once; the product map
     is kept as an int array and wrapped in a `Perm` only by
     `product_perm`. The deltas index the target action's `rows` table
-    (`target_rows`) directly, as both share a0's closure order. The
+    directly, as both share a0's closure order. The
     scalar `rho`, `point_map`, `index_cocycle`, `delta_bar` and
     `semidirect_mul` stay as the per-point definition that the tables
     are tested against.
@@ -311,7 +299,6 @@ class CoinducedSystem:
         b0: FinAction,
         a: TargetAction,
         cs: ChoiceSystem,
-        cap: int | None = None,
     ):
         self.a0 = a0
         self.b0 = b0
@@ -327,7 +314,7 @@ class CoinducedSystem:
         self.x_size = cs.size
         self.y_size = a.space.size
         self.product_size = self.x_size * self.y_size**self.N
-        self._cap = get_cap("product", cap)
+        self._cap = get_cap("product")
         self.materialized = self.product_size <= self._cap
         self._slot_lookup: tuple[np.ndarray, ...] | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
@@ -380,11 +367,6 @@ class CoinducedSystem:
         """One step of the skew product for any ambient-class-preserving g."""
         pi, dbar = self.rho(x, g(x))
         return g(x), self.apply_transport(pi, dbar, ybar)
-
-    def target_rows(self) -> np.ndarray:
-        """The target permutation of every a0 element, (G0, Y) in a0's
-        closure order: the target action's own table."""
-        return self.a.rows
 
     def _transport(self, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slots, deltas) of the maps with image rows `moved`, (G, m) in,
@@ -473,7 +455,7 @@ class CoinducedSystem:
         block = self.y_size**self.N
         local = np.arange(block, dtype=np.int64)
         places = self.y_size ** np.arange(self.N - 1, -1, -1, dtype=np.int64)
-        targets = self.target_rows()
+        targets = self.a.rows
         rows = np.arange(self.x_size)[:, None]
         out = np.repeat(np.array(g.images, dtype=np.int64) * block, block).reshape(-1, block)
         for k in range(self.N):
@@ -492,15 +474,11 @@ class CoinducedSystem:
         """The product map of g as a Perm (requires the cap)."""
         return Perm(self.product_images(g).tolist())
 
-    def a_prime_perm(self, delta_name: str) -> Perm:
-        return self.product_perm(self.a0.perm_of(delta_name))
-
 
 def coinduced_action(
     a0: FreeGroupAction,
     b0: FinAction,
     a: TargetAction,
-    cap: int | None = None,
 ) -> CoinducedSystem:
     """Build and validate the skew-product system of (a0, b0, a).
 
@@ -509,7 +487,7 @@ def coinduced_action(
     freeness of the ambient action passes to the product action;
     the small-group product action is free; and the three factor maps
     (onto b0, onto a, onto a0) are equivariant. Structural checks that
-    need the product space run only when it fits under the cap.
+    need the product space run only when it fits under the `product` cap.
     """
     e_rel = a0.orbit_relation()
     f_rel = orbit_relation(b0)
@@ -520,23 +498,16 @@ def coinduced_action(
     if a.group is not a0:
         raise ValidationError("target action is keyed to a different group")
     cs = choice_functions(e_rel, f_rel)
-    sys = CoinducedSystem(a0, b0, a, cs, cap)
+    sys = CoinducedSystem(a0, b0, a, cs)
     if not sys.materialized:
         return sys
 
     gammas = b0.closure()
-    b_maps = [sys.product_images(g.perm) for g in gammas]
+    b_maps = np.stack([sys.product_images(g.perm) for g in gammas])
     codes = np.arange(sys.product_size, dtype=np.int64)
-    # action law: the product map of a composite is the composite of maps.
-    # For all pairs it follows, by induction on the word length of the
-    # left factor, from the identity (element 0) and the generators: row s
-    # of the step table holds g_s * e_j, and its entry 0 is g_s itself.
-    if not np.array_equal(b_maps[0], codes):
+    # action law: the product map of a composite is the composite of maps
+    if b0.first_broken_step(b_maps) is not None:
         raise CheckFailed("product maps do not compose as an action")
-    for row in b0.step_table().tolist():
-        for j, k in enumerate(row):
-            if not np.array_equal(b_maps[k], b_maps[row[0]][b_maps[j]]):
-                raise CheckFailed("product maps do not compose as an action")
     if b0.fixing_element() is None:
         for b_map in b_maps[1:]:  # element 0 is the identity
             if np.any(b_map == codes):
@@ -550,7 +521,7 @@ def coinduced_action(
     for g, b_map in zip(gammas, b_maps):
         if not np.array_equal(base[b_map], np.array(g.perm.images)[base]):
             raise CheckFailed("projection to the base space is not equivariant")
-    for d, target in zip(a0.elements, sys.target_rows()):
+    for d, target in zip(a0.elements, a.rows):
         ap = sys.product_images(d.perm)
         base_ok = base[ap] == np.array(d.perm.images)[base]
         first_ok = first[ap] == target[first]
@@ -643,7 +614,7 @@ def check_thm33_identity(
     x_size, y_size, b = sys.x_size, sys.y_size, len(b_pts)
     in_b = np.zeros(y_size, dtype=bool)
     in_b[np.array(b_pts, dtype=np.intp)] = True
-    lands = in_b[sys.target_rows()]  # lands[j, y]: element j sends y into B
+    lands = in_b[sys.a.rows]  # lands[j, y]: element j sends y into B
     kept = lands[:, in_b]
     if not kept.all():
         name = sys.a0.elements[np.argmin(kept.all(axis=1))].name
@@ -727,7 +698,7 @@ def check_prop34_pairings(
     nums = [v.numerator * (den // v.denominator) for v in vals]  # f = nums / den
     if sum(nums) != 0:
         raise ValidationError("observable must have zero mean")
-    targets = sys.target_rows()
+    targets = sys.a.rows
     levels = {v: i for i, v in enumerate(set(nums))}
     level = np.array([levels[v] for v in nums], dtype=np.intp)
     moves = level[targets] != level

@@ -429,20 +429,17 @@ class FinAction:
         roots = {frozenset((lab, self.inverses[lab])) for lab in self.labels}
         return len(roots) == 1
 
-    def closure(self, cap: int | None = None) -> tuple[GroupElement, ...]:
+    def closure(self) -> tuple[GroupElement, ...]:
         """All permutations generated by the action, BFS order from the identity.
 
         Element 0 is the identity. For a single generator pair the names
         are powers g^0, g^1, ...; otherwise shortest words over the labels
-        (identity named "1").
+        (identity named "1"). The search is bounded by the `closure` cap,
+        read when the closure is first built.
         """
         if self._closure is not None:
-            # an explicit cap still binds a cached closure; the default
-            # was checked when the closure was built
-            if cap is not None and len(self._closure) > cap:
-                raise CapExceeded("closure", cap + 1, cap)
             return self._closure
-        capn = get_cap("closure", cap)
+        capn = get_cap("closure")
         ident = Perm.identity(self.space.size)
         index = {ident.images: 0}
         queue, words = [ident], [()]
@@ -548,6 +545,22 @@ class FinAction:
             products.setflags(write=False)
             self._products = products
         return self._products
+
+    def first_broken_step(self, rows: np.ndarray) -> tuple[int, int] | None:
+        """The first closure index pair (generator g, element e) where rows,
+        an integer table in closure order, has rows[g * e] != rows[g][rows[e]],
+        or None: (0, 0) if row 0 is not 0, 1, ..., then generators in name
+        order, elements in closure order, one gather per step-table row.
+        By induction on word length, that makes rows a homomorphism."""
+        if not np.array_equal(rows[0], np.arange(rows.shape[1])):
+            return 0, 0
+        closure = self.closure()
+        # entry (s, 0) of the step table is the index of g_s * e_0 = g_s
+        for steps in sorted(self.step_table(), key=lambda steps: closure[steps[0]].name):
+            bad = np.flatnonzero((rows[steps] != rows[steps[0]][rows]).any(axis=1))
+            if bad.size:
+                return int(steps[0]), int(bad[0])
+        return None
 
     def fixing_element(self) -> GroupElement | None:
         """The first non-identity closure element that fixes a point, or

@@ -1,10 +1,15 @@
 """Shared exception types and enumeration caps.
 
 Caps guard every potentially explosive enumeration (full groups, closures,
-product spaces, Cayley balls, unions of target orbits). Defaults can be overridden with the
-ERGLAB_CAPS environment variable, a comma-separated list such as
+product spaces, Cayley balls, unions of target orbits). The only override
+of the defaults is the ERGLAB_CAPS environment variable, a comma-separated
+list such as
 
     ERGLAB_CAPS="full_group=5000,product=200000"
+
+An unknown name, a non-integer or a negative value in it is refused, so a
+typo never leaves a bound unset. Only `full_group`, `full_group_table`
+and `check_thm27` also take a per-call cap.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ class CapExceeded(RuntimeError):
     """An enumeration or materialization guard tripped. `needed` stays
     exact; the message shortens a count too long to print."""
 
-    def __init__(self, cap_name: str, needed: int, cap: int):
+    def __init__(self, cap_name: str, needed: int, limit: int):
         self.cap_name = cap_name
         self.needed = needed
-        self.cap = cap
+        self.cap = limit
         super().__init__(
             f"cap '{cap_name}' exceeded: need {_render_count(needed)}, "
-            f"cap is {_render_count(cap)}"
+            f"cap is {_render_count(limit)}"
         )
 
 
@@ -50,22 +55,18 @@ DEFAULT_CAPS = {
 
 
 def get_cap(name: str, override: int | None = None) -> int:
-    """Resolve a cap: explicit argument wins, then ERGLAB_CAPS, then default."""
+    """Resolve a cap: explicit argument wins, then ERGLAB_CAPS, then default.
+    Every read checks all of ERGLAB_CAPS, whichever name it asks for."""
+    caps: dict[str, int] = {}
+    for item in filter(None, map(str.strip, os.environ.get("ERGLAB_CAPS", "").split(","))):
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in DEFAULT_CAPS:
+            raise ValidationError(f"ERGLAB_CAPS entry {item!r} names no cap")
+        if not value.isdecimal():
+            raise ValidationError(f"ERGLAB_CAPS entry {item!r} is not a non-negative integer")
+        caps.setdefault(key, int(value))  # the first entry of a name wins
     if override is not None:
         return int(override)
-    raw = os.environ.get("ERGLAB_CAPS", "")
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if key.strip() == name:
-            try:
-                return int(value)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"ERGLAB_CAPS entry {item!r} is not an integer"
-                ) from exc
     if name not in DEFAULT_CAPS:
         raise ValidationError(f"unknown cap name {name!r}")
-    return DEFAULT_CAPS[name]
+    return caps.get(name, DEFAULT_CAPS[name])

@@ -196,10 +196,12 @@ class FiniteRep:
     The images are kept in closure order, permutations as N image rows
     and matrices as one (N, d, d) stack; `apply`, `matrix` and
     `invariant_basis` read a name's row by its closure index. Images
-    passed in are validated as a homomorphism exhaustively, over every
-    pair of closure elements. `natural` wraps the closure's own image
-    tuples and `regular` the N x N product table: both are homomorphisms
-    by construction, skip that check and copy no image.
+    passed in are validated as a homomorphism: permutations on the step
+    table (`FinAction.first_broken_step`), matrices over every pair of
+    closure elements, as a per-pair tolerance does not compose along
+    words. `natural` wraps the closure's own image tuples and `regular`
+    the N x N product table: both are homomorphisms by construction,
+    skip that check and copy no image.
     """
 
     def __init__(self, action: FinAction, images: Mapping):
@@ -213,28 +215,29 @@ class FiniteRep:
             if len({v.size for v in images.values()}) != 1:
                 raise ValidationError("images act on different dimensions")
             self._adopt(action, "perm", np.array([images[e.name].images for e in closure]))
-        else:
-            mats = []
-            for name, v in images.items():
-                arr = np.asarray(v, dtype=float)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                    raise ValidationError(f"image of {name!r} is not square")
-                if mats and arr.shape != mats[0].shape:
-                    raise ValidationError("images act on different dimensions")
-                if np.abs(arr.T @ arr - np.eye(len(arr))).max() > _ORTHO_TOL:
-                    raise ValidationError(f"image of {name!r} is not orthogonal")
-                mats.append(arr)
-            order = [action.index_of(action.element(name).perm) for name in images]
-            self._adopt(action, "matrix", np.array(mats)[np.argsort(order)])
-            self._sum_order = order  # the group average adds the images as given
+            broken = action.first_broken_step(self._images)
+            if broken is not None:
+                g, e = (closure[i].name for i in broken)
+                raise ValidationError(f"images break multiplicativity at ({g}, {e})")
+            return
+        mats = []
+        for name, v in images.items():
+            arr = np.asarray(v, dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValidationError(f"image of {name!r} is not square")
+            if mats and arr.shape != mats[0].shape:
+                raise ValidationError("images act on different dimensions")
+            if np.abs(arr.T @ arr - np.eye(len(arr))).max() > _ORTHO_TOL:
+                raise ValidationError(f"image of {name!r} is not orthogonal")
+            mats.append(arr)
+        order = [action.index_of(action.element(name).perm) for name in images]
+        self._adopt(action, "matrix", np.array(mats)[np.argsort(order)])
+        self._sum_order = order  # the group average adds the images as given
         # raise at the first pair (e_i, e_j), in closure order, where the
         # image of e_i * e_j is not the product of their images
         products, imgs = action.product_table(), self._images
         for i, e1 in enumerate(closure):
-            if self.kind == "perm":
-                broken = (imgs[products[i]] != imgs[i][imgs]).any(axis=1)
-            else:
-                broken = np.abs(imgs[i] @ imgs - imgs[products[i]]).max(axis=(1, 2)) > _ORTHO_TOL
+            broken = np.abs(imgs[i] @ imgs - imgs[products[i]]).max(axis=(1, 2)) > _ORTHO_TOL
             bad = np.flatnonzero(broken)
             if bad.size:
                 raise ValidationError(

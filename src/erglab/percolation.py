@@ -400,7 +400,7 @@ def _check_ball_cap(size: int, capn: int) -> None:
         raise CapExceeded("ball", lim + 1, capn)
 
 
-def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
+def cayley_ball(model, q, r: int) -> CayleyBall:
     """Word-length ball of radius r for generators q.
 
     q is closed under inversion automatically; vertex order is
@@ -411,10 +411,11 @@ def cayley_ball(model, q, r: int, cap: int | None = None) -> CayleyBall:
     of the whole group they generate, which must fit the `closure` cap.
     Any other model or generating set raises ValidationError. Vertices
     are stored as arrays, and `vertices` is decoded on its first read.
+    The ball is bounded by the `ball` cap.
     """
     if r < 0:
         raise ValidationError("radius must be non-negative")
-    capn = get_cap("ball", cap)
+    capn = get_cap("ball")
     qc = _close_generators(model, q)
     kind = _ball_kind(model, qc)
     if kind == "free":
@@ -596,9 +597,6 @@ class PercConfig:
     seed: int
     trial: int
     open: np.ndarray = field(repr=False)  # bool per edge
-
-    def open_count(self) -> int:
-        return int(self.open.sum())
 
 
 def percolate(ball: CayleyBall, p: float, seed: int, trial: int = 0) -> PercConfig:
@@ -822,14 +820,15 @@ def _forest_chunk(
     return [[int(c) for c in totals[j]] for j in pos]
 
 
-def connected_components(graph, directed: bool = True):
-    """scipy's sparse labeller: (component count, label per vertex).
+def connected_components(graph):
+    """scipy's sparse labeller on an undirected graph: (component count,
+    label per vertex).
 
     scipy is imported here, on the first labelling, not with the module.
     """
     from scipy.sparse import csgraph
 
-    return csgraph.connected_components(graph, directed=directed)
+    return csgraph.connected_components(graph, directed=False)
 
 
 def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
@@ -900,7 +899,7 @@ def _contract_chunk(
                 indptr = np.zeros(ncomp + 1, dtype=np.int32)
                 np.cumsum(np.bincount(a, minlength=ncomp), out=indptr[1:])
                 graph = _csr(ones[: len(new)], b, indptr)
-                ncomp, comp = connected_components(graph, directed=False)
+                ncomp, comp = connected_components(graph)
                 cur = comp if cur is identity else comp[cur]
             seen[j] = cur[watch]
 
@@ -1126,7 +1125,7 @@ def action_to_percolation(
     indptr = np.zeros(m * n + 1, dtype=np.int32)
     np.cumsum(np.bincount(heads, minlength=m * n), out=indptr[1:])
     blocks = _csr(np.ones(len(edge)), tails, indptr)
-    cluster = connected_components(blocks, directed=False)[1].reshape(m, n)[:, pos]
+    cluster = connected_components(blocks)[1].reshape(m, n)[:, pos]
     counts = np.count_nonzero(cluster == cluster[:, :1], axis=0)  # element 0 is the identity
     phi_values = {e.name: phi(e_rel, e.perm) for e in closure}
     cluster_probs = {e.name: Fraction(c, m) for e, c in zip(closure, counts.tolist())}
@@ -1165,7 +1164,7 @@ class LengthSystem:
 
     Word length is closed-form for the standard generators of Z^d and
     free groups. For a `PermGroupModel` it is read off the `cayley_ball`
-    of the whole generated group, built once; `cap` is its ball cap.
+    of the whole generated group, built once under the `ball` cap.
     Other generating sets are refused, as `cayley_ball` refuses them.
     """
 
@@ -1174,11 +1173,9 @@ class LengthSystem:
         model,
         q,
         a_seq: Sequence[int] | None = None,
-        cap: int | None = None,
     ):
         self.model = model
         self.q = tuple(_close_generators(model, q))
-        self._cap = cap
         if a_seq is not None:
             vals = [int(v) for v in a_seq]
             if not vals or vals[0] < 1:
@@ -1214,7 +1211,7 @@ class LengthSystem:
             return len(gamma)
         if self._ball is None:
             # the group fits the closure cap, so no distance reaches it
-            self._ball = cayley_ball(self.model, self.q, get_cap("closure"), self._cap)
+            self._ball = cayley_ball(self.model, self.q, get_cap("closure"))
         try:
             return int(self._ball.distances[self._ball.index_of(gamma)])
         except ValidationError:

@@ -574,6 +574,29 @@ def test_orbit_unions_cap_bounds_the_thm33_sets(tmp_path, monkeypatch, capsys):
     assert "cap 'orbit_unions' exceeded: need 65536, cap is 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("caps, entry, why", [
+    ("prodcut=1", "prodcut=1", "names no cap"),
+    ("product=-5", "product=-5", "is not a non-negative integer"),
+    ("product=1.5", "product=1.5", "is not a non-negative integer"),
+    ("product=1, prodcut=1", "prodcut=1", "names no cap"),
+    ("ball=10,product", "product", "is not a non-negative integer"),
+])
+def test_malformed_caps_are_validation_exits(tmp_path, monkeypatch, capsys, caps, entry, why):
+    # the whole of ERGLAB_CAPS is checked on every read, whichever cap the
+    # command reads: a mistyped entry must not leave the bound unset
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(make_coinduce_ready(4, 2)))
+    message = f"ERGLAB_CAPS entry {entry!r} {why}"
+    monkeypatch.setenv("ERGLAB_CAPS", caps)
+    code, report = run(tmp_path, "coinduce", "--instance", str(path))
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+    code, report = run(tmp_path, "percolate", "--model", "z2", "--radius", "2", "--p", "0.5")
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
+
 # Each of these must trip a cap before the work grows: exit 1 within
 # CAP_EXIT_SECONDS, interpreter start included.
 CAP_TRIPPING_ARGV = {

@@ -60,6 +60,18 @@ def shift_action(m: int, step: int = 1, label: str = "g") -> FinAction:
     )
 
 
+def _under_product_cap(product, build, *args):
+    """build(*args) with ERGLAB_CAPS setting this product cap (None: the
+    defaults), the only way a cap is set: a system reads its `product`
+    cap when it is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        if product is None:
+            mp.delenv("ERGLAB_CAPS", raising=False)
+        else:
+            mp.setenv("ERGLAB_CAPS", f"product={product}")
+        return build(*args)
+
+
 @pytest.fixture
 def z4_pair():
     """Four-cycle ambient action with the half-turn subaction."""
@@ -106,9 +118,9 @@ def test_group_arithmetic(z4_pair):
     a0, _ = z4_pair
     assert a0.mult("d^1", "d^1") == "d^0"
     assert a0.inverse_name("d^1") == "d^1"
-    assert a0.name_of(Perm.identity(4)) == "d^0"
+    assert a0.base.element_of(Perm.identity(4)).name == "d^0"
     with pytest.raises(ValidationError):
-        a0.name_of(Perm((1, 0, 2, 3)))
+        a0.base.element_of(Perm((1, 0, 2, 3)))
 
 
 def _s3_left_regular() -> FinAction:
@@ -165,7 +177,8 @@ def test_target_action_checks_every_generator():
     a, b = Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))
     group = FreeGroupAction(FinAction(FinSpace(4), [("a", a), ("b", b)], {"a": "a", "b": "b"}))
     sigma, tau = Perm((1, 0, 2)), Perm((0, 2, 1))
-    names = {key: group.name_of(p) for key, p in [("e", Perm.identity(4)), ("a", a), ("b", b), ("ab", a * b)]}
+    keyed = [("e", Perm.identity(4)), ("a", a), ("b", b), ("ab", a * b)]
+    names = {key: group.base.element_of(p).name for key, p in keyed}
     for ab in (sigma * tau, tau * sigma):
         images = {names["e"]: Perm.identity(3), names["a"]: sigma, names["b"]: tau, names["ab"]: ab}
         with pytest.raises(ValidationError, match="multiplicativity"):
@@ -283,7 +296,7 @@ def test_small_orbits_refine_product_orbits(z4_pair):
     a0, b0 = z4_pair
     sys = coinduced_action(a0, b0, swap_target(a0, Perm((1, 0))))
     small = EqRel.from_perms(
-        sys.product_size, [sys.a_prime_perm(e.name) for e in a0.elements]
+        sys.product_size, [sys.product_perm(a0.perm_of(e.name)) for e in a0.elements]
     )
     big = EqRel.from_perms(
         sys.product_size,
@@ -307,7 +320,7 @@ def test_small_orbits_refine_even_outside_ambient_closure():
     }
     sys = coinduced_action(a0, b0, swap_target(a0, Perm((1, 0))))
     small = EqRel.from_perms(
-        sys.product_size, [sys.a_prime_perm(e.name) for e in a0.elements]
+        sys.product_size, [sys.product_perm(a0.perm_of(e.name)) for e in a0.elements]
     )
     big = EqRel.from_perms(
         sys.product_size,
@@ -366,7 +379,7 @@ def test_rejects_mismatched_spaces():
 
 def test_above_cap_skips_materialization(z4_pair):
     a0, b0 = z4_pair
-    sys = coinduced_action(a0, b0, swap_target(a0, Perm((1, 0))), cap=10)
+    sys = _under_product_cap(10, coinduced_action, a0, b0, swap_target(a0, Perm((1, 0))))
     assert not sys.materialized
     with pytest.raises(ValidationError, match="exceeds the cap"):
         sys.product_perm(b0.generator("g"))
@@ -846,11 +859,11 @@ def _coinduce_ready_pair(m, idx):
 TABLE_CASES = [(4, 2), (6, 2), (9, 3), (8, 4), (12, 6), "s3"]
 
 
-def _table_system(case, convention, cap=None):
+def _table_system(case, convention):
     a0, b0 = s3_on_two_copies() if case == "s3" else _coinduce_ready_pair(*case)
     cs = choice_functions(a0.orbit_relation(), orbit_relation(b0), convention)
     target = TargetAction.trivial(a0, FinSpace(2))
-    return CoinducedSystem(a0, b0, target, cs, cap)
+    return CoinducedSystem(a0, b0, target, cs)
 
 
 @pytest.mark.parametrize("convention", ["min_up", "max_down"])
@@ -948,8 +961,8 @@ def _pairing_cases():
     for m, idx in ((4, 1), (4, 2), (6, 3), (8, 4)):
         spec = load_instance(make_coinduce_ready(m, idx)).coinduce
         target = _doubled_target(spec.a0, spec.a)
-        for cap in (None, 1):
-            system = coinduced_action(spec.a0, spec.b0, target, cap)
+        for product in (None, 1):
+            system = _under_product_cap(product, coinduced_action, spec.a0, spec.b0, target)
             yield system, _invariant_observables(spec.a0, target)
     b0 = shift_action(2)
     a0 = FreeGroupAction(shift_action(2, label="d"))
@@ -1249,10 +1262,10 @@ def test_the_target_action_error_does_not_follow_the_hash_seed():
 # -- the integer folds of the two identities ------------------------------------------
 
 
-def _doubled_system(m, idx, cap=None):
+def _doubled_system(m, idx, product=None):
     spec = load_instance(make_coinduce_ready(m, idx)).coinduce
     target = _doubled_target(spec.a0, spec.a)
-    return coinduced_action(spec.a0, spec.b0, target, cap), target
+    return _under_product_cap(product, coinduced_action, spec.a0, spec.b0, target), target
 
 
 def _corrupt_transport(monkeypatch, corrupt):
@@ -1270,15 +1283,15 @@ def _raised(call) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("cap, message", [
+@pytest.mark.parametrize("product, message", [
     (None, "factorized and materialized overlap counts disagree"),
     (1, "overlap identity violated"),
 ])
-def test_overlap_check_fails_on_a_corrupted_slot_column(monkeypatch, cap, message):
+def test_overlap_check_fails_on_a_corrupted_slot_column(monkeypatch, product, message):
     """Reversing every slot permutation moves the points that fix slot 0:
     the factorized overlap leaves the materialized count (which then
     fails first) and the closed form."""
-    sys, _ = _doubled_system(4, 2, cap)
+    sys, _ = _doubled_system(4, 2, product)
     b_set = [0, 2]  # one of the two target orbits
     assert len(b_set) < sys.y_size
     gammas = sys.b0.closure()
@@ -1328,7 +1341,7 @@ def test_an_overflowing_int64_fold_fails_the_pairing_at_its_first_pair(monkeypat
     such pair in row-major order fails both checks, and its route check
     is the one reported; the pairs before it still pass."""
     monkeypatch.setattr(coinduce_module, "_fold_dtype", lambda bound: np.int64)
-    factorized, target = _doubled_system(4, 2, cap=1)
+    factorized, target = _doubled_system(4, 2, product=1)
     materialized, _ = _doubled_system(4, 2)
     f = [v * 3**20 for v in _invariant_observables(materialized.a0, target)[0]]
     gamma = materialized.b0.element("g^1")
@@ -1353,7 +1366,7 @@ def _thm33_oracle(sys, b_set, gamma) -> MixingIdentityReport:
     p = Fraction(len(b_set), y_size)
     phi_val = phi(sys.cs.E, g)
     slots, deltas = sys.transport_rows(g)
-    rows = sys.target_rows().tolist()
+    rows = sys.a.rows.tolist()
     lhs_fact = Fraction(0)
     for x in range(x_size):
         image = rows[deltas[x, 0]]
@@ -1378,7 +1391,7 @@ def _prop34_oracle(sys, f, gamma) -> dict[tuple[int, int], PairingReport]:
     x_size, y_size = sys.x_size, sys.y_size
     norm_sq = sum(v * v for v in f) / y_size
     slots, deltas = sys.transport_rows(g)
-    weights = [sum(f[t] * v for t, v in zip(row, f)) for row in sys.target_rows().tolist()]
+    weights = [sum(f[t] * v for t, v in zip(row, f)) for row in sys.a.rows.tolist()]
     if sys.materialized:
         images = sys.product_images(g).tolist()
         digits = [sys.digit_column(n).tolist() for n in range(sys.N)]
@@ -1403,8 +1416,8 @@ def test_integer_folds_match_the_fraction_oracle(data):
     by 3^40, whose squares leave int64, so both fold dtypes run."""
     m = data.draw(st.sampled_from([2, 4, 6]), label="m")
     idx = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]), label="idx")
-    cap = data.draw(st.sampled_from([None, 1]), label="cap")
-    sys, target = _doubled_system(m, idx, cap)
+    product = data.draw(st.sampled_from([None, 1]), label="product cap")
+    sys, target = _doubled_system(m, idx, product)
     gamma = data.draw(st.sampled_from(sys.b0.closure()), label="gamma").name
     b_set = data.draw(st.sampled_from(_target_orbit_sets(sys.a0, target)), label="b_set")
     f = data.draw(st.sampled_from(_invariant_observables(sys.a0, target)), label="f")

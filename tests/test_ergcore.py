@@ -342,6 +342,14 @@ def test_cap_env_override(monkeypatch):
     assert len(list(full_group(EqRel.full(3)))) == 6
 
 
+def test_a_per_call_cap_still_checks_the_environment(monkeypatch):
+    monkeypatch.setenv("ERGLAB_CAPS", "full_grup=10")
+    with pytest.raises(ValidationError, match="'full_grup=10' names no cap"):
+        full_group_table(EqRel.full(3), cap=10)
+    monkeypatch.setenv("ERGLAB_CAPS", "full_group=2")
+    assert len(full_group_table(EqRel.full(3), cap=10)) == 6  # the per-call cap wins
+
+
 def _full_group_by_product(rel: EqRel) -> list[tuple[int, ...]]:
     """Independent enumeration: one per-class permutation each, combined
     in itertools.product order (the first class varies slowest)."""
@@ -758,7 +766,7 @@ def test_action_rejects_bad_pairing():
         FinAction(FinSpace(m), [("g", g)], {"g": "h"})  # missing partner
 
 
-def test_action_closure_cap():
+def test_action_closure_cap(monkeypatch):
     m = 7
     g = Perm.from_cycles(m, [tuple(range(m))])
     act = FinAction(
@@ -766,17 +774,12 @@ def test_action_closure_cap():
         [("g", g), ("g_inv", g.inverse())],
         {"g": "g_inv", "g_inv": "g"},
     )
-    with pytest.raises(CapExceeded):
-        act.closure(cap=3)
-
-
-def test_action_closure_cap_binds_a_cached_closure():
-    act = _cyclic_action(7, tuple(range(7)))
-    assert len(act.closure()) == 7
+    monkeypatch.setenv("ERGLAB_CAPS", "closure=3")
     with pytest.raises(CapExceeded) as exc:
-        act.closure(cap=3)
-    assert (exc.value.needed, exc.value.cap) == (4, 3)  # as the uncached search reports
-    assert len(act.closure(cap=7)) == 7
+        act.closure()
+    assert (exc.value.needed, exc.value.cap) == (4, 3)
+    monkeypatch.setenv("ERGLAB_CAPS", "closure=7")
+    assert len(act.closure()) == 7
 
 
 def _non_free_word_action() -> FinAction:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -769,27 +770,90 @@ def test_transfer_matches_the_per_element_reference():
     assert 0 < failed < 12
 
 
+def _perm_matrix(p: Perm) -> np.ndarray:
+    """The matrix sending basis vector j to basis vector p(j)."""
+    mat = np.zeros((p.size, p.size))
+    mat[list(p.images), range(p.size)] = 1.0
+    return mat
+
+
+def _first_step_break(act: FinAction, images: dict) -> tuple[str, str] | None:
+    """The first pair breaking images[g h] = images[g] images[h], by brute
+    force over Perms: the identity, then each generator by closure name
+    against every element in closure order."""
+    elems = act.closure()
+    name = {e.perm: e.name for e in elems}
+    ident = elems[0].name
+    if not images[ident].is_identity():
+        return ident, ident
+    for g in sorted({name[p] for _, p in act.gens}):
+        for h in elems:
+            if images[name[act.element(g).perm * h.perm]] != images[g] * images[h.name]:
+                return g, h.name
+    return None
+
+
+def _first_pair_break(act: FinAction, mats: dict) -> tuple[str, str] | None:
+    """The first (e1, e2) over all pairs in closure order whose product's
+    matrix is not the product of their matrices, to within 1e-12."""
+    elems = act.closure()
+    name = {e.perm: e.name for e in elems}
+    for e1 in elems:
+        for e2 in elems:
+            composite = mats[name[e1.perm * e2.perm]]
+            if np.abs(mats[e1.name] @ mats[e2.name] - composite).max() > 1e-12:
+                return e1.name, e2.name
+    return None
+
+
+def _broken_at(pair: tuple[str, str]) -> str:
+    return r"^images break multiplicativity at \(%s, %s\)$" % tuple(map(re.escape, pair))
+
+
 def test_rep_reports_the_first_broken_pair():
+    """Permutation images are checked on the step table and name its first
+    broken (generator, element) pair; matrix images, whose per-pair
+    tolerance does not compose along words, name the first broken pair
+    of all pairs. On S_3 with one image swapped the two pairs differ."""
     act = s3_action()
     elems = act.closure()
     perm_images = {el.name: el.perm for el in elems}
     perm_images[elems[2].name] = elems[3].perm
-    mats = {}
-    for name, p in perm_images.items():
-        mat = np.zeros((3, 3))
-        mat[list(p.images), range(3)] = 1.0
-        mats[name] = mat
-    # the first (e1, e2) in closure order whose product image disagrees
-    first = next(
-        (e1.name, e2.name)
-        for e1 in elems
-        for e2 in elems
-        if perm_images[act.element_of(e1.perm * e2.perm).name]
-        != perm_images[e1.name] * perm_images[e2.name]
-    )
-    for images in (perm_images, mats):
-        with pytest.raises(ValidationError, match=r"multiplicativity at \(%s, %s\)" % first):
+    mats = {name: _perm_matrix(p) for name, p in perm_images.items()}
+    step_pair, all_pair = _first_step_break(act, perm_images), _first_pair_break(act, mats)
+    assert None not in (step_pair, all_pair) and step_pair != all_pair
+    with pytest.raises(ValidationError, match=_broken_at(step_pair)):
+        FiniteRep(act, perm_images)
+    with pytest.raises(ValidationError, match=_broken_at(all_pair)):
+        FiniteRep(act, mats)
+
+
+def test_rep_pair_checks_match_their_oracles_on_corrupted_images():
+    """Random corruptions of one or two images: the step-table oracle finds
+    a break exactly when the all-pairs oracle does, and each kind of
+    image is refused at its oracle's pair or accepted."""
+    rng = random.Random(2024)
+    broken = 0
+    for trial in range(40):
+        act = [s3_action, klein_action, s4_action, lambda: shift_action(6)][trial % 4]()
+        elems = act.closure()
+        perms = [e.perm for e in elems] + [Perm.identity(act.space.size)]
+        images = {e.name: e.perm for e in elems}
+        for _ in range(rng.randint(1, 2)):
+            images[rng.choice(elems).name] = rng.choice(perms)
+        mats = {name: _perm_matrix(p) for name, p in images.items()}
+        step_pair, all_pair = _first_step_break(act, images), _first_pair_break(act, mats)
+        assert (step_pair is None) == (all_pair is None)
+        if step_pair is None:
             FiniteRep(act, images)
+            FiniteRep(act, mats)
+            continue
+        broken += 1
+        with pytest.raises(ValidationError, match=_broken_at(step_pair)):
+            FiniteRep(act, images)
+        with pytest.raises(ValidationError, match=_broken_at(all_pair)):
+            FiniteRep(act, mats)
+    assert 20 < broken < 40
 
 
 def s4_action() -> FinAction:
@@ -814,13 +878,15 @@ def _perm_of_matrix(mat: np.ndarray) -> Perm:
 @pytest.mark.parametrize("make", BUILT_ACTIONS)
 @pytest.mark.parametrize("kind", ["natural", "regular"])
 def test_built_reps_pass_the_pair_check_they_skip(make, kind):
-    """natural and regular skip the all-pairs homomorphism check; run it
-    here as an oracle, through the public constructor on the built rep's
-    own images, and show it is live on a corrupted copy."""
+    """natural and regular skip the homomorphism check; run both oracles
+    here on the built rep's own images, pass those images through the
+    public constructor, and show the check is live on a corrupted copy."""
     act = make()
     rep = FiniteRep.natural(act) if kind == "natural" else FiniteRep.regular(act)
     elems = act.closure()
     images = {e.name: _perm_of_matrix(rep.matrix(e.name)) for e in elems}
+    mats = {e.name: rep.matrix(e.name) for e in elems}
+    assert _first_step_break(act, images) is None and _first_pair_break(act, mats) is None
     checked = FiniteRep(act, images)
     for e in elems:
         assert np.array_equal(checked.matrix(e.name), rep.matrix(e.name))
@@ -828,8 +894,30 @@ def test_built_reps_pass_the_pair_check_they_skip(make, kind):
             e.name, np.arange(rep.dimension)
         ).tolist()
     images[elems[1].name] = images[elems[0].name]
-    with pytest.raises(ValidationError, match="multiplicativity"):
+    with pytest.raises(ValidationError, match=_broken_at(_first_step_break(act, images))):
         FiniteRep(act, images)
+
+
+@pytest.mark.parametrize("make", BUILT_ACTIONS)
+def test_permutation_images_build_no_product_table(make, monkeypatch):
+    """Permutation images are checked on the step table: the N x N product
+    table is never built for them, for a homomorphism or a broken one.
+    Matrix images still read it for their all-pairs check."""
+    act = make()
+    elems = act.closure()
+    images = {e.name: e.perm for e in elems}
+    mats = {name: _perm_matrix(p) for name, p in images.items()}
+
+    def refuse(self):
+        raise AssertionError("product_table was built")
+
+    monkeypatch.setattr(FinAction, "product_table", refuse)
+    assert FiniteRep(act, images).invariant_basis().shape == (act.space.size, 1)
+    images[elems[1].name] = elems[0].perm
+    with pytest.raises(ValidationError, match=_broken_at(_first_step_break(act, images))):
+        FiniteRep(act, images)
+    with pytest.raises(AssertionError, match="product_table was built"):
+        FiniteRep(act, mats)
 
 
 @pytest.mark.parametrize("make", BUILT_ACTIONS)

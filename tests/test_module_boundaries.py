@@ -262,3 +262,54 @@ def test_the_guard_sees_eager_scipy_imports(tmp_path):
         "mod.py:7 imports scipy.sparse.csgraph",
         "mod.py:11 imports scipy",
     ]
+
+
+# The full-group enumerations keep a per-call cap: verify passes them a
+# second value, 50000. Every other cap is read from ERGLAB_CAPS alone.
+_PER_CALL_CAPS = ("full_group", "full_group_table", "check_thm27")
+
+
+def _cap_parameters(path: Path) -> list[str]:
+    """Functions and methods, at any depth, that take a parameter named
+    `cap`, other than the full-group enumerations."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        takes_cap = any(a is not None and a.arg == "cap" for a in params)
+        if takes_cap and node.name not in _PER_CALL_CAPS:
+            found.append((node.lineno, node.name))
+    return [f"{path.name}:{line} {name} takes cap" for line, name in sorted(found)]
+
+
+def test_only_the_full_group_enumerations_take_a_cap():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _cap_parameters(path)]
+    assert found == []
+
+
+def test_the_guard_sees_cap_parameters(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def cayley_ball(model, q, r, cap=None):\n"
+        "    pass\n"
+        "class FinAction:\n"
+        "    def closure(self, *, cap):\n"
+        "        def inner(cap, /):\n"
+        "            pass\n"
+        "async def f(**cap):\n"
+        "    pass\n"
+        "def full_group_table(rel, cap=None):\n"
+        "    pass\n"
+        "def check_thm27(e, action, cap=None):\n"
+        "    pass\n"
+        "def get_cap(name, override=None):\n"
+        "    capn = cap = 3\n"
+    )
+    assert _cap_parameters(src) == [
+        "mod.py:1 cayley_ball takes cap",
+        "mod.py:4 closure takes cap",
+        "mod.py:5 inner takes cap",
+        "mod.py:7 f takes cap",
+    ]

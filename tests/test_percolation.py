@@ -196,13 +196,13 @@ class _VertexList:
             raise ValidationError("target outside ball") from None
 
 
-def _bfs_ball(model, q, r: int, cap: int | None) -> CayleyBall:
+def _bfs_ball(model, q, r: int) -> CayleyBall:
     """The breadth-first word-length ball over model products, with the
     ball cap counted vertex by vertex: the oracle of every `cayley_ball`
     build, for any model."""
     if r < 0:
         raise ValidationError("radius must be non-negative")
-    capn = get_cap("ball", cap)
+    capn = get_cap("ball")
     qc = _close_generators(model, q)
     ident = model.identity()
     vertices = [ident]
@@ -262,17 +262,19 @@ def _assert_same_ball(got, want):
 
 
 def _cap_outcomes(model, gens, r, caps):
-    """Per cap, what `cayley_ball` and the oracle raise: None, or the
-    CapExceeded fields."""
+    """Per ball cap, set through ERGLAB_CAPS, what `cayley_ball` and the
+    oracle raise: None, or the CapExceeded fields."""
     outcomes = []
     for cap in caps:
         raised = []
-        for build in (cayley_ball, _bfs_ball):
-            try:
-                build(model, gens, r, cap)
-                raised.append(None)
-            except CapExceeded as exc:
-                raised.append((exc.cap_name, exc.needed, exc.cap))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ERGLAB_CAPS", f"ball={cap}")
+            for build in (cayley_ball, _bfs_ball):
+                try:
+                    build(model, gens, r)
+                    raised.append(None)
+                except CapExceeded as exc:
+                    raised.append((exc.cap_name, exc.needed, exc.cap))
         outcomes.append(raised)
     return outcomes
 
@@ -291,7 +293,7 @@ def test_array_balls_match_generic(model):
     else:
         gens, radii = model.letter_generators(), range(6)
     for r in radii:
-        generic = _bfs_ball(model, gens, r, None)
+        generic = _bfs_ball(model, gens, r)
         _assert_same_ball(cayley_ball(model, gens, r), generic)
         n = generic.vertex_count
         caps = (0, n - 1, n)
@@ -360,7 +362,7 @@ def test_other_models_are_refused():
     with pytest.raises(ValidationError, match="PermGroupModel"):
         LengthSystem(_Integers(), [1])
     # the oracle still takes it
-    assert _bfs_ball(_Integers(), [1], 2, None).vertices == (0, -1, 1, -2, 2)
+    assert _bfs_ball(_Integers(), [1], 2).vertices == (0, -1, 1, -2, 2)
 
 
 def test_identity_generator_rejected():
@@ -369,13 +371,14 @@ def test_identity_generator_rejected():
         cayley_ball(zd, [(0,)], 1)
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setenv("ERGLAB_CAPS", "ball=10")
     zd = ZdModel(2)
     with pytest.raises(CapExceeded):
-        cayley_ball(zd, zd.basis_generators(), 3, cap=10)
+        cayley_ball(zd, zd.basis_generators(), 3)
     fm = FreeModel(2)
     with pytest.raises(CapExceeded):
-        cayley_ball(fm, fm.letter_generators(), 3, cap=10)
+        cayley_ball(fm, fm.letter_generators(), 3)
 
 
 @pytest.mark.parametrize(
@@ -383,16 +386,18 @@ def test_ball_cap():
     [(ZdModel(1), 10**12), (ZdModel(2), 10**9), (ZdModel(3), 10**9)],
     ids=["Z^1", "Z^2", "Z^3"],
 )
-def test_huge_radius_trips_the_cap(model, r):
+def test_huge_radius_trips_the_cap(monkeypatch, model, r):
     # the radius is outside input: Z^d balls must trip the cap before
     # anything grows with r, also where (2r+1)^d leaves the array path
     gens = model.basis_generators()
     raised = []
+    monkeypatch.setenv("ERGLAB_CAPS", "ball=1000")
     for build in (cayley_ball, _bfs_ball):
         with pytest.raises(CapExceeded) as exc:
-            build(model, gens, r, 1000)
+            build(model, gens, r)
         raised.append((exc.value.needed, exc.value.cap))
     assert raised[0] == raised[1] == (1001, 1000)
+    monkeypatch.delenv("ERGLAB_CAPS")
     with pytest.raises(CapExceeded):
         cayley_ball(model, gens, r)  # the default cap
 
@@ -456,10 +461,10 @@ def test_closure_balls_match_the_breadth_first_oracle():
         m, n = action.space.size, len(action.closure())
         model = PermGroupModel(m)
         gens = [g for _, g in action.gens]
-        whole = _bfs_ball(model, gens, n, None)
+        whole = _bfs_ball(model, gens, n)
         free = action.fixing_element() is None
         for r in (0, 1, 2, 3, 5, n):
-            want = _bfs_ball(model, gens, r, None)
+            want = _bfs_ball(model, gens, r)
             got = cayley_ball(model, gens, r)
             _assert_same_ball(got, want)
             for v in whole.vertices[want.vertex_count :]:
@@ -473,7 +478,7 @@ def test_closure_balls_match_the_breadth_first_oracle():
             if free:
                 rep = action_to_percolation(action, {lab: [] for lab in action.labels}, r)
                 _assert_same_ball(rep.full_ball, whole)
-                _assert_same_ball(rep.sample_ball, _bfs_ball(model, gens, min(r, n), None))
+                _assert_same_ball(rep.sample_ball, _bfs_ball(model, gens, min(r, n)))
     assert len(names) == 69 and "natural-s5" in names
 
 
@@ -486,7 +491,7 @@ def test_closure_ball_refuses_malformed_generators():
     with pytest.raises(ValidationError, match="non-negative"):
         cayley_ball(pm, [Perm((1, 2, 3, 0))], -1)
     # with no generators the ball is the identity alone
-    _assert_same_ball(cayley_ball(pm, [], 3), _bfs_ball(pm, [], 3, None))
+    _assert_same_ball(cayley_ball(pm, [], 3), _bfs_ball(pm, [], 3))
 
 
 def _assert_edges_sorted_by_first_column(ball):
@@ -543,8 +548,8 @@ def f2_ball():
 
 
 def test_percolate_extremes(z2_ball):
-    assert percolate(z2_ball, 0.0, 1).open_count() == 0
-    assert percolate(z2_ball, 1.0, 1).open_count() == z2_ball.edge_count
+    assert percolate(z2_ball, 0.0, 1).open.sum() == 0
+    assert percolate(z2_ball, 1.0, 1).open.sum() == z2_ball.edge_count
 
 
 def test_percolate_deterministic(z2_ball):
@@ -583,7 +588,7 @@ def test_free_forest_structure_reads_the_stored_parents():
     parent, parent_edge, slices = ball.forest_structure()
     assert np.shares_memory(parent, ball._store.parent)
     # the checked build of the same ball through the breadth-first path
-    plain = _bfs_ball(fm, fm.letter_generators(), 4, None)
+    plain = _bfs_ball(fm, fm.letter_generators(), 4)
     want = plain.forest_structure()
     assert np.array_equal(parent, want[0]) and parent.dtype == want[0].dtype
     assert np.array_equal(parent_edge, want[1]) and parent_edge.dtype == want[1].dtype
@@ -745,7 +750,7 @@ def _assert_boundary_is_the_outer_level(ball):
 def test_boundary_is_the_tail_at_distance_radius(name):
     model, gens, radius, _ = KERNEL_BALLS[name]
     _assert_boundary_is_the_outer_level(cayley_ball(model, gens, radius))
-    _assert_boundary_is_the_outer_level(_bfs_ball(model, gens, radius, None))
+    _assert_boundary_is_the_outer_level(_bfs_ball(model, gens, radius))
 
 
 def test_sweep_engines_agree_when_uniforms_hit_grid_points(monkeypatch, z2_ball, f2_ball):
@@ -809,10 +814,9 @@ def test_contraction_kernel_labels_once_per_point_that_opens_edges(monkeypatch):
     real = percolation.connected_components
     calls = []
 
-    def spy(graph, directed=True, **kwargs):
-        assert directed is False and not kwargs
+    def spy(graph):
         calls.append((graph.shape[0], graph.nnz))
-        return real(graph, directed=directed)
+        return real(graph)
 
     monkeypatch.setattr(percolation, "connected_components", spy)
     _contract_chunk(ball, grid, 3, 11, 5, [])
@@ -1201,13 +1205,13 @@ def test_bfs_wordlength_fallback():
     action = natural_s5()
     gens = [g for _, g in action.gens]
     ls = LengthSystem(PermGroupModel(5), gens)
-    oracle = _bfs_ball(PermGroupModel(5), gens, 120, None)
+    oracle = _bfs_ball(PermGroupModel(5), gens, 120)
     assert oracle.vertex_count == 120
     assert [ls.wordlength(v) for v in oracle.vertices] == oracle.distances.tolist()
     assert [ls.length(v) for v in oracle.vertices[:3]] == [0, 1, 1]
 
 
-def test_bfs_wordlength_not_generated():
+def test_bfs_wordlength_not_generated(monkeypatch):
     pm = PermGroupModel(3)
     swap = Perm.from_cycles(3, [(0, 1)])
     ls = LengthSystem(pm, [swap])
@@ -1215,8 +1219,9 @@ def test_bfs_wordlength_not_generated():
         with pytest.raises(ValidationError, match="not generated"):
             ls.wordlength(outside)
     # the closure ball counts against the ball cap
+    monkeypatch.setenv("ERGLAB_CAPS", "ball=3")
     with pytest.raises(CapExceeded, match="'ball'"):
-        LengthSystem(PermGroupModel(4), [Perm((1, 2, 3, 0))], cap=3).wordlength(Perm.identity(4))
+        LengthSystem(PermGroupModel(4), [Perm((1, 2, 3, 0))]).wordlength(Perm.identity(4))
 
 
 def test_free_ball_index_of_searches_its_level():
@@ -1254,7 +1259,7 @@ def test_array_ball_index_of_needs_no_vertices(model, monkeypatch):
         gens, radii = model.basis_generators(), range(7)
     else:
         gens, radii = model.letter_generators(), range(6)
-    listed = [_bfs_ball(model, gens, r, None).vertices for r in radii]
+    listed = [_bfs_ball(model, gens, r).vertices for r in radii]
     _refuse_decoding(monkeypatch)
     for r, vertices in zip(radii, listed):
         ball = cayley_ball(model, gens, r)
