@@ -22,10 +22,11 @@ statistics without labels, with a kernel chosen by the ball's shape: on
 tree balls the forest kernel reads every grid point off per-vertex
 thresholds, and on other balls the contraction kernel merges components
 grid point by grid point as edges open (Newman and Ziff's order). Both
-give the counters that `cluster_stats` over `percolate` gives. The
-contraction kernel and the dictionary label their sparse graphs with
-scipy's `connected_components`; scipy is imported on the first such
-labelling, so tree sweeps and the exact side never load it.
+give the counters that `cluster_stats` over `percolate` gives. scipy's
+`connected_components` is the contraction kernel's labeller alone, and
+scipy is imported on its first labelling. The dictionary labels its small
+block graph in numpy (`_hook_labels`), so tree sweeps, `verify` and the
+rest of the exact side never load scipy.
 """
 
 from __future__ import annotations
@@ -822,9 +823,10 @@ def _forest_chunk(
 
 def connected_components(graph):
     """scipy's sparse labeller on an undirected graph: (component count,
-    label per vertex).
+    label per vertex). Only the contraction kernel calls it.
 
-    scipy is imported here, on the first labelling, not with the module.
+    scipy is imported here, on the kernel's first labelling, not with the
+    module.
     """
     from scipy.sparse import csgraph
 
@@ -1016,6 +1018,34 @@ class PhiDictionary:
     equivariance_triples: int
 
 
+def _hook_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-member label per vertex of the graph on n vertices with edges
+    (a[i], b[i]), by hooking and pointer jumping (Shiloach and Vishkin).
+
+    Each round drops the edges whose ends already share a root, hooks
+    every remaining root onto the least root across its edges, and jumps
+    pointers until each vertex points at its root. Parents only decrease
+    and stay in the component, so each root is its component's least
+    vertex. A root that a round leaves alone (it hooks nowhere and
+    nothing hooks onto it) has a smaller root beside it in the next, so
+    every two rounds at least halve the components that still have
+    edges: O(log n) rounds.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            return parent
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 def action_to_percolation(
     action: FinAction, a_sets: Mapping[str, Sequence[int]], r: int
 ) -> PhiDictionary:
@@ -1117,15 +1147,12 @@ def action_to_percolation(
 
     # capture value = cluster probability, element by element, from one
     # labelling of the m configurations side by side: point x's copy of
-    # vertex v is block vertex x * n + v; ball edges are sorted by their
-    # first column, so the opened edges come in row order
+    # vertex v is block vertex x * n + v. The block graph is small at the
+    # sizes verify draws, so numpy labels it and scipy stays unloaded
     point, edge = np.nonzero(bits)
     heads = full_ball.edges[edge, 0] + point * n
-    tails = (full_ball.edges[edge, 1] + point * n).astype(np.int32)
-    indptr = np.zeros(m * n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(heads, minlength=m * n), out=indptr[1:])
-    blocks = _csr(np.ones(len(edge)), tails, indptr)
-    cluster = connected_components(blocks)[1].reshape(m, n)[:, pos]
+    tails = full_ball.edges[edge, 1] + point * n
+    cluster = _hook_labels(m * n, heads, tails).reshape(m, n)[:, pos]
     counts = np.count_nonzero(cluster == cluster[:, :1], axis=0)  # element 0 is the identity
     phi_values = {e.name: phi(e_rel, e.perm) for e in closure}
     cluster_probs = {e.name: Fraction(c, m) for e, c in zip(closure, counts.tolist())}

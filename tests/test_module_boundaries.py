@@ -313,3 +313,60 @@ def test_the_guard_sees_cap_parameters(tmp_path):
         "mod.py:5 inner takes cap",
         "mod.py:7 f takes cap",
     ]
+
+
+# scipy's labeller pays off only on the contraction kernel's large graphs;
+# the wrappers themselves call scipy's functions of the same names
+_SCIPY_LABELLER = ("connected_components", "_csr")
+_SCIPY_LABELLER_OWNERS = ("_contract_chunk", *_SCIPY_LABELLER)
+
+
+def _scipy_labeller_calls(path: Path) -> list[str]:
+    """Calls of `connected_components` or `_csr`, bare or as an attribute,
+    outside `_contract_chunk` (nested functions included) and the two
+    wrappers' own bodies."""
+    found = []
+    todo = [(ast.parse(path.read_text(), filename=str(path)), ())]
+    while todo:
+        node, owners = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = owners
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = owners + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _SCIPY_LABELLER and not set(owners) & set(_SCIPY_LABELLER_OWNERS):
+                    found.append((child.lineno, owners[-1] if owners else "<module>", name))
+            todo.append((child, inner))
+    return [f"{path.name}:{line} {owner} calls {name}" for line, owner, name in sorted(found)]
+
+
+def test_only_the_contraction_kernel_calls_the_scipy_labeller():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _scipy_labeller_calls(path)]
+    assert found == []
+
+
+def test_the_guard_sees_scipy_labeller_calls(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def action_to_percolation(action):\n"
+        "    blocks = _csr(data, tails, indptr)\n"
+        "    return connected_components(blocks)[1]\n"
+        "def _contract_chunk(ball):\n"
+        "    def read_trial(u):\n"
+        "        return connected_components(_csr(ones, b, indptr))\n"
+        "def connected_components(graph):\n"
+        "    return csgraph.connected_components(graph, directed=False)\n"
+        "class Kernel:\n"
+        "    def label(self, g):\n"
+        "        return percolation.connected_components(g)\n"
+        "labels = connected_components(g)\n"
+        "ok = np.unique(labels)\n"
+    )
+    assert _scipy_labeller_calls(src) == [
+        "mod.py:2 action_to_percolation calls _csr",
+        "mod.py:3 action_to_percolation calls connected_components",
+        "mod.py:11 label calls connected_components",
+        "mod.py:12 <module> calls connected_components",
+    ]

@@ -3,6 +3,7 @@ exact action/configuration dictionary, and word-length scales."""
 
 import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,12 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erglab
 from erglab import (
     CapExceeded,
     CayleyBall,
     CheckFailed,
+    EqRel,
     FinAction,
     FinSpace,
     FreeModel,
@@ -45,6 +49,7 @@ from erglab.percolation import (
     _contract_chunk,
     _free_ball,
     _FreeWords,
+    _hook_labels,
     _unionfind_labels,
     _zd_ball,
     _ZdCodes,
@@ -870,6 +875,47 @@ def test_sweep_matches_cluster_stats(z2_ball):
     assert res.rows[0].tau_counts == st.tau_counts
 
 
+def _tree_theta(p: Fraction, k: int, r: int) -> Fraction:
+    """Exact θ on the F_k ball of radius r >= 1: h_j is the chance that a
+    vertex j levels above the sphere reaches it through its 2k - 1
+    children, and the root has 2k."""
+    h = Fraction(1)
+    for _ in range(r - 1):
+        h = 1 - (1 - p * h) ** (2 * k - 1)
+    return 1 - (1 - p * h) ** (2 * k)
+
+
+def _binomial_z(count: int, trials: int, q: Fraction) -> float:
+    return float((count - trials * q) / math.sqrt(trials * q * (1 - q)))
+
+
+def test_forest_kernel_matches_the_exact_tree_values():
+    # seed, trials, grid and bound were fixed before the first run; a z-score
+    # past the bound is a kernel defect to investigate, not a seed to change
+    trials, bound = 4000, 4.0
+    grid = [0.2, 0.3, 0.4, 0.45, 0.5, 0.6]
+    targets = [(1,), (2, -1)]
+    f2 = FreeModel(2)
+    ball = cayley_ball(f2, f2.letter_generators(), 6)
+    assert ball.is_tree()
+    res = sweep(ball, grid, trials=trials, seed=3, targets=targets)
+    for row in res.rows:
+        p = Fraction(str(row.p))
+        assert row.trials == trials
+        assert abs(_binomial_z(row.theta_count, trials, _tree_theta(p, 2, 6))) <= bound
+        for word, count in zip(targets, row.tau_counts):
+            # τ: the target's path to the root is open, p^(word length)
+            assert abs(_binomial_z(count, trials, p ** len(word))) <= bound
+
+
+def test_tree_theta_recursion_on_the_smallest_balls():
+    # radius 1: the root reaches the sphere iff one of its 2k edges is open;
+    # radius 2 on F_1 (a path of 5): one of the two length-2 arms is open
+    p = Fraction(1, 3)
+    assert _tree_theta(p, 2, 1) == 1 - (1 - p) ** 4
+    assert _tree_theta(p, 1, 2) == 1 - (1 - p * p) ** 2
+
+
 def test_sweep_monotone_under_crn(f2_ball):
     res = sweep(f2_ball, [0.1, 0.2, 0.3, 0.4, 0.5, 0.7], trials=20, seed=13)
     assert res.monotone_exact
@@ -882,6 +928,49 @@ def test_sweep_validates_inputs(z2_ball):
         sweep(z2_ball, [1.5], trials=5, seed=1)
     with pytest.raises(ValidationError):
         sweep(z2_ball, [0.5], trials=0, seed=1)
+
+
+# -- the dictionary's block labeller --------------------------------------------------------
+
+
+def _least_member_labels(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    rel = EqRel.from_pairs(n, pairs)
+    return np.array([rel.class_of(v)[0] for v in range(n)], dtype=np.int64)
+
+
+def _assert_hook_labels_match_the_union_find(n: int, pairs: list[tuple[int, int]]) -> None:
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    got = _hook_labels(n, a, b)
+    assert np.array_equal(got, _least_member_labels(n, pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hook_labels_are_the_union_find_least_members(data):
+    # no edges, self-loops, duplicate edges and isolated vertices all occur
+    n = data.draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    _assert_hook_labels_match_the_union_find(n, pairs)
+
+
+def test_hook_labels_on_graphs_that_need_several_rounds_and_jumps():
+    n = 64
+    # ids alternate low and high along a path: the first round pairs each
+    # high vertex with a low one, and only later rounds join the pairs
+    zigzag = [v for i in range(n // 2) for v in (i, n - 1 - i)]
+    _assert_hook_labels_match_the_union_find(n, list(itertools.pairwise(zigzag)))
+    # a path in decreasing id order hooks into one chain of depth n - 1,
+    # which takes log2(n) pointer jumps to flatten
+    _assert_hook_labels_match_the_union_find(n, [(v, v - 1) for v in range(n - 1, 0, -1)])
+    # the same path with a pendant leaf below every vertex, and two
+    # components beside isolated vertices
+    pendant = [(v, v - 1) for v in range(n // 2 - 1, 0, -1)] + [(v, n // 2 + v) for v in range(n // 2)]
+    _assert_hook_labels_match_the_union_find(n, pendant)
+    _assert_hook_labels_match_the_union_find(n, [(9, 3), (3, 20), (40, 7), (7, 7), (40, 7)])
+    _assert_hook_labels_match_the_union_find(n, [])
 
 
 # -- the dictionary -----------------------------------------------------------------------
