@@ -372,7 +372,8 @@ class FinAction:
     """A group acting on a finite space through named generator permutations.
 
     Generators come in inverse pairs: `inverses` maps each label to the
-    label of its inverse (self-paired labels are allowed for involutions).
+    label of its inverse (self-paired labels are allowed for involutions),
+    and has no key that is not a generator.
 
     The action owns the one lookup table over its closure: `closure()`
     indexes each element by name and by permutation, and `element`,
@@ -391,6 +392,9 @@ class FinAction:
         if len(set(labels)) != len(labels):
             raise ValidationError("generator labels must be unique")
         by_label = dict(gens)
+        for lab in inverses:
+            if lab not in by_label:
+                raise ValidationError(f"inverse pairing for {lab!r}, which is not a generator")
         for lab, g in gens:
             if g.size != space.size:
                 raise ValidationError(f"generator {lab!r} acts on the wrong space")

@@ -22,11 +22,9 @@ statistics without labels, with a kernel chosen by the ball's shape: on
 tree balls the forest kernel reads every grid point off per-vertex
 thresholds, and on other balls the contraction kernel merges components
 grid point by grid point as edges open (Newman and Ziff's order). Both
-give the counters that `cluster_stats` over `percolate` gives. scipy's
-`connected_components` is the contraction kernel's labeller alone, and
-scipy is imported on its first labelling. The dictionary labels its small
-block graph in numpy (`_hook_labels`), so tree sweeps, `verify` and the
-rest of the exact side never load scipy.
+give the counters that `cluster_stats` over `percolate` gives. One numpy
+labeller, `connected_components` (hooking and pointer jumping), labels
+both the contraction kernel's graphs and the dictionary's block graph.
 """
 
 from __future__ import annotations
@@ -821,24 +819,32 @@ def _forest_chunk(
     return [[int(c) for c in totals[j]] for j in pos]
 
 
-def connected_components(graph):
-    """scipy's sparse labeller on an undirected graph: (component count,
-    label per vertex). Only the contraction kernel calls it.
+def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-member label per vertex of the graph on n vertices with edges
+    (a[i], b[i]), by hooking and pointer jumping (Shiloach and Vishkin).
 
-    scipy is imported here, on the kernel's first labelling, not with the
-    module.
+    Each round drops the edges whose ends already share a root, hooks
+    every remaining root onto the least root across its edges, and jumps
+    pointers until each vertex points at its root. Parents only decrease
+    and stay in the component, so each root is its component's least
+    vertex. A root that a round leaves alone (it hooks nowhere and
+    nothing hooks onto it) has a smaller root beside it in the next, so
+    every two rounds at least halve the components that still have
+    edges: O(log n) rounds.
     """
-    from scipy.sparse import csgraph
-
-    return csgraph.connected_components(graph, directed=False)
-
-
-def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-    """Square CSR matrix over len(indptr) - 1 vertices, from its own arrays."""
-    from scipy.sparse import csr_matrix
-
-    n = len(indptr) - 1
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            return parent
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def _contract_chunk(
@@ -855,20 +861,13 @@ def _contract_chunk(
     An edge with uniform u is open at p iff u < p, so the edges that open
     at a grid point are those open there and not at the point before.
     `cur` holds each vertex's component id in the graph of the edges
-    opened so far. At each grid point that opens edges, one
-    `connected_components` call, on the current components joined by
-    those edges, contracts `cur` further. The statistics only compare
-    ids, so each grid point gathers `cur` at the root, the targets and
-    the boundary, with no relabelling, and a trial folds those rows into
-    the counters at once.
-
-    The graph goes to scipy as a CSR matrix built by hand, with int32
-    `indices`/`indptr` (scipy's labeller works in int32, and the ball
-    cap, 4·10^6 vertices by default, keeps ids far below 2^31) and
-    float64 data cut from one array of ones, so scipy converts neither. A trial's first labelling
-    starts from the identity `cur`: ball edges are sorted by their first
-    column, so the rows come straight from the opened edges, with no
-    gather through `cur` and no sort.
+    opened so far: the least member of its component. At each grid point
+    that opens edges, one `connected_components` call, on the current
+    component ids joined by those edges, contracts `cur` further; a
+    component's new id is the least of the ids it joins, so it stays the
+    least member. The statistics only compare ids, so each grid point
+    gathers `cur` at the root, the targets and the boundary, with no
+    relabelling, and a trial folds those rows into the counters at once.
     """
     n, m = ball.vertex_count, ball.edge_count
     grid = np.unique(np.array(p_list, dtype=np.float64))
@@ -876,16 +875,15 @@ def _contract_chunk(
     # the vertices the statistics read: root, targets, then the boundary
     watch = np.concatenate(([0], tidx, ball.boundary)).astype(np.int64)
     ei, ej = ball.edges.T
-    ones = np.ones(m)
-    identity = np.arange(n, dtype=np.int32)
+    identity = np.arange(n)
     masks = (np.empty(m, dtype=bool), np.empty(m, dtype=bool))
-    seen = np.empty((len(grid), len(watch)), dtype=np.int32)  # ids at watch, per point
+    seen = np.empty((len(grid), len(watch)), dtype=np.int64)  # ids at watch, per point
 
     def read_trial(u: np.ndarray) -> None:
         # a function of its own, so that its arrays die before the next draw
         before, now = masks
         before[:] = False
-        cur, ncomp = identity, n
+        cur = identity
         for j, p in enumerate(grid):
             np.less(u, p, out=now)
             # `before`'s buffer takes the edges that open at p: open now, not before
@@ -893,16 +891,7 @@ def _contract_chunk(
             new = np.flatnonzero(fresh)
             before, now = now, fresh
             if len(new):
-                if cur is identity:
-                    a, b = ei[new], ej[new].astype(np.int32)
-                else:
-                    a, b = cur[ei[new]], cur[ej[new]]
-                    b = b[np.argsort(a)]
-                indptr = np.zeros(ncomp + 1, dtype=np.int32)
-                np.cumsum(np.bincount(a, minlength=ncomp), out=indptr[1:])
-                graph = _csr(ones[: len(new)], b, indptr)
-                ncomp, comp = connected_components(graph)
-                cur = comp if cur is identity else comp[cur]
+                cur = connected_components(n, cur[ei[new]], cur[ej[new]])[cur]
             seen[j] = cur[watch]
 
     totals = np.zeros((len(grid), 2 + nt), dtype=np.int64)
@@ -1018,34 +1007,6 @@ class PhiDictionary:
     equivariance_triples: int
 
 
-def _hook_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-member label per vertex of the graph on n vertices with edges
-    (a[i], b[i]), by hooking and pointer jumping (Shiloach and Vishkin).
-
-    Each round drops the edges whose ends already share a root, hooks
-    every remaining root onto the least root across its edges, and jumps
-    pointers until each vertex points at its root. Parents only decrease
-    and stay in the component, so each root is its component's least
-    vertex. A root that a round leaves alone (it hooks nowhere and
-    nothing hooks onto it) has a smaller root beside it in the next, so
-    every two rounds at least halve the components that still have
-    edges: O(log n) rounds.
-    """
-    parent = np.arange(n)
-    while True:
-        ra, rb = parent[a], parent[b]
-        cross = ra != rb
-        if not cross.any():
-            return parent
-        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-
-
 def action_to_percolation(
     action: FinAction, a_sets: Mapping[str, Sequence[int]], r: int
 ) -> PhiDictionary:
@@ -1147,12 +1108,11 @@ def action_to_percolation(
 
     # capture value = cluster probability, element by element, from one
     # labelling of the m configurations side by side: point x's copy of
-    # vertex v is block vertex x * n + v. The block graph is small at the
-    # sizes verify draws, so numpy labels it and scipy stays unloaded
+    # vertex v is block vertex x * n + v
     point, edge = np.nonzero(bits)
     heads = full_ball.edges[edge, 0] + point * n
     tails = full_ball.edges[edge, 1] + point * n
-    cluster = _hook_labels(m * n, heads, tails).reshape(m, n)[:, pos]
+    cluster = connected_components(m * n, heads, tails).reshape(m, n)[:, pos]
     counts = np.count_nonzero(cluster == cluster[:, :1], axis=0)  # element 0 is the identity
     phi_values = {e.name: phi(e_rel, e.perm) for e in closure}
     cluster_probs = {e.name: Fraction(c, m) for e, c in zip(closure, counts.tolist())}

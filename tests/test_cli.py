@@ -402,6 +402,17 @@ def test_malformed_documents_are_validation_exits(tmp_path, capsys, base, path, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_inverse_pairing_of_a_non_generator_exits_one(tmp_path):
+    doc = make_cyclic(6)
+    doc["actions"]["main"]["inverses"]["h"] = "zz"
+    inst = tmp_path / "stray.json"
+    inst.write_text(json.dumps(doc))
+    done, _ = _run_cli_process(["phi", "--instance", str(inst)])
+    assert done.returncode == 1
+    assert done.stderr == "error: inverse pairing for 'h', which is not a generator\n"
+    assert done.stdout == ""
+
+
 def test_argparse_errors_are_validation_failures(capsys):
     assert main(["phi", "--bogus-flag"]) == 1
     assert main(["kazhdan"]) == 1
@@ -686,30 +697,21 @@ def test_importing_erglab_leaves_scipy_out():
     assert not _loads_scipy(modules)
 
 
-# Only the contraction kernel needs scipy: sweeps and percolation on balls
-# that are not trees. The action-to-percolation dictionary labels its block
-# graph in numpy, so no verify suite loads it.
-# name -> (argv, whether the command loads scipy)
+# erglab's one cluster labeller is numpy's, so no command loads scipy: not
+# the contraction kernel's sweeps and percolation on balls that are not
+# trees, and not the action-to-percolation dictionary that verify runs
 SCIPY_ARGV = {
-    "version": (("--version",), False),
-    "generate": (("generate", "--kind", "coinduce_ready", "--size", "4,2"), False),
-    "coinduce": (("coinduce", "--instance", "{ci}"), False),
-    "verify_thm25": (("verify", "--suite", "thm25", "--count", "4"), False),
-    "verify_kazhdan_forms": (("verify", "--suite", "kazhdan_forms", "--count", "4"), False),
-    "kazhdan_amplify": (("kazhdan", "amplify", "--k", "3", "--eps", "0.1", "--n", "2"), False),
-    "sweep_f2": (
-        ("sweep", "--model", "f2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"), False
-    ),
-    "percolate_f2": (
-        ("percolate", "--model", "f2", "--radius", "5", "--p", "0.5", "--trials", "6"), False
-    ),
-    "sweep_z2": (
-        ("sweep", "--model", "z2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"), True
-    ),
-    "verify_phi_correspondence": (
-        ("verify", "--suite", "phi_correspondence", "--count", "4"), False
-    ),
-    "verify_all_suites": (("verify", "--count", "2"), False),
+    "version": ("--version",),
+    "generate": ("generate", "--kind", "coinduce_ready", "--size", "4,2"),
+    "coinduce": ("coinduce", "--instance", "{ci}"),
+    "verify_thm25": ("verify", "--suite", "thm25", "--count", "4"),
+    "verify_kazhdan_forms": ("verify", "--suite", "kazhdan_forms", "--count", "4"),
+    "kazhdan_amplify": ("kazhdan", "amplify", "--k", "3", "--eps", "0.1", "--n", "2"),
+    "sweep_f2": ("sweep", "--model", "f2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"),
+    "percolate_f2": ("percolate", "--model", "f2", "--radius", "5", "--p", "0.5", "--trials", "6"),
+    "sweep_z2": ("sweep", "--model", "z2", "--radius", "5", "--grid", "0.3,0.6", "--trials", "6"),
+    "verify_phi_correspondence": ("verify", "--suite", "phi_correspondence", "--count", "4"),
+    "verify_all_suites": ("verify", "--count", "2"),
 }
 
 
@@ -717,11 +719,10 @@ SCIPY_ARGV = {
 def test_scipy_loads_only_for_sparse_labellings(tmp_path, capsys, monkeypatch, name):
     ci = tmp_path / "ci.json"
     ci.write_text(json.dumps(make_coinduce_ready(4, 2)))
-    template, loads = SCIPY_ARGV[name]
-    argv = [arg.format(ci=ci) for arg in template]
+    argv = [arg.format(ci=ci) for arg in SCIPY_ARGV[name]]
     done, modules = _run_importtime_process(["-m", "erglab.cli", *argv])
     assert done.returncode == 0 and done.stderr == ""
-    assert _loads_scipy(modules) is loads
+    assert not _loads_scipy(modules)
     monkeypatch.delenv("ERGLAB_CAPS", raising=False)
     try:
         code = main(argv)

@@ -1,11 +1,16 @@
-"""Module boundaries inside the package: private names stay private."""
+"""Module boundaries inside the package: private names stay private, and
+every third-party import is a declared dependency."""
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import erglab
 
 PACKAGE = Path(erglab.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _is_private(name: str) -> bool:
@@ -209,58 +214,69 @@ def test_the_guard_sees_perm_constructions(tmp_path):
     assert _perm_constructions(src) == ["mod.py:1 calls Perm", "mod.py:2 calls Perm"]
 
 
-def _eager_scipy_imports(path: Path) -> list[str]:
-    """Imports of scipy that run when the module is imported: at top
-    level, under a top-level `if`/`try`, or in a class body. An import
-    inside a function body runs on the first call and does not count."""
+def _declared_dependencies(pyproject: Path) -> set[str]:
+    """Import names of `[project].dependencies`: each requirement's
+    distribution name, lower-cased, with dashes and dots as underscores."""
+    with pyproject.open("rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    names = (re.match(r"[A-Za-z0-9._-]+", req).group() for req in requirements)
+    return {re.sub(r"[-.]", "_", name).lower() for name in names}
+
+
+def _undeclared_imports(path: Path, declared: set[str]) -> list[str]:
+    """Third-party modules this module imports, at any depth (imports in
+    function bodies too), that are not in `declared`. Relative imports,
+    erglab itself and the standard library are not third-party."""
     found = []
-    todo = [ast.parse(path.read_text(), filename=str(path))]
-    while todo:
-        for node in ast.iter_child_nodes(todo.pop()):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module or ""]
-            else:
-                todo.append(node)
-                continue
-            for module in modules:
-                if module == "scipy" or module.startswith("scipy."):
-                    found.append((node.lineno, module))
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top not in declared and top != "erglab" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, module))
     return [f"{path.name}:{line} imports {module}" for line, module in sorted(found)]
 
 
-def test_no_module_imports_scipy_at_import_time():
-    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _eager_scipy_imports(path)]
+def test_every_third_party_import_is_a_declared_dependency():
+    declared = _declared_dependencies(PYPROJECT)
+    found = [
+        line for path in sorted(PACKAGE.glob("*.py")) for line in _undeclared_imports(path, declared)
+    ]
     assert found == []
 
 
-def test_the_guard_sees_eager_scipy_imports(tmp_path):
+def test_the_guard_sees_undeclared_imports(tmp_path):
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(
+        '[project]\nname = "demo"\n'
+        'dependencies = ["NumPy>=1.26", "typing-extensions; python_version < \'3.11\'"]\n'
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n'
+    )
+    declared = _declared_dependencies(pyproject)
+    assert declared == {"numpy", "typing_extensions"}
     src = tmp_path / "mod.py"
     src.write_text(
-        "import scipy\n"
-        "from scipy.sparse import x\n"
-        "def label(g):\n"
-        "    import scipy\n"
-        "    from scipy.sparse import x\n"
-        "try:\n"
-        "    import numpy, scipy.sparse.csgraph as cg\n"
-        "except ImportError:\n"
-        "    pass\n"
-        "class C:\n"
-        "    from scipy import linalg\n"
-        "    def f(self):\n"
-        "        from scipy import linalg\n"
+        "from __future__ import annotations\n"
+        "import os, numpy.linalg as la\n"
+        "from typing_extensions import Self\n"
+        "from . import percolation\n"
         "from .scipy import helper\n"
-        "import scipyish\n"
+        "from erglab.errors import ValidationError\n"
+        "def label(g):\n"
+        "    from scipy.sparse import csgraph\n"
+        "    import json, pytest\n"
+        "class C:\n"
+        "    import numpyish\n"
     )
-    assert _eager_scipy_imports(src) == [
-        "mod.py:1 imports scipy",
-        "mod.py:2 imports scipy.sparse",
-        "mod.py:7 imports scipy.sparse.csgraph",
-        "mod.py:11 imports scipy",
+    assert _undeclared_imports(src, declared) == [
+        "mod.py:8 imports scipy.sparse",
+        "mod.py:9 imports pytest",
+        "mod.py:11 imports numpyish",
     ]
 
 
@@ -312,61 +328,4 @@ def test_the_guard_sees_cap_parameters(tmp_path):
         "mod.py:4 closure takes cap",
         "mod.py:5 inner takes cap",
         "mod.py:7 f takes cap",
-    ]
-
-
-# scipy's labeller pays off only on the contraction kernel's large graphs;
-# the wrappers themselves call scipy's functions of the same names
-_SCIPY_LABELLER = ("connected_components", "_csr")
-_SCIPY_LABELLER_OWNERS = ("_contract_chunk", *_SCIPY_LABELLER)
-
-
-def _scipy_labeller_calls(path: Path) -> list[str]:
-    """Calls of `connected_components` or `_csr`, bare or as an attribute,
-    outside `_contract_chunk` (nested functions included) and the two
-    wrappers' own bodies."""
-    found = []
-    todo = [(ast.parse(path.read_text(), filename=str(path)), ())]
-    while todo:
-        node, owners = todo.pop()
-        for child in ast.iter_child_nodes(node):
-            inner = owners
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = owners + (child.name,)
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in _SCIPY_LABELLER and not set(owners) & set(_SCIPY_LABELLER_OWNERS):
-                    found.append((child.lineno, owners[-1] if owners else "<module>", name))
-            todo.append((child, inner))
-    return [f"{path.name}:{line} {owner} calls {name}" for line, owner, name in sorted(found)]
-
-
-def test_only_the_contraction_kernel_calls_the_scipy_labeller():
-    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _scipy_labeller_calls(path)]
-    assert found == []
-
-
-def test_the_guard_sees_scipy_labeller_calls(tmp_path):
-    src = tmp_path / "mod.py"
-    src.write_text(
-        "def action_to_percolation(action):\n"
-        "    blocks = _csr(data, tails, indptr)\n"
-        "    return connected_components(blocks)[1]\n"
-        "def _contract_chunk(ball):\n"
-        "    def read_trial(u):\n"
-        "        return connected_components(_csr(ones, b, indptr))\n"
-        "def connected_components(graph):\n"
-        "    return csgraph.connected_components(graph, directed=False)\n"
-        "class Kernel:\n"
-        "    def label(self, g):\n"
-        "        return percolation.connected_components(g)\n"
-        "labels = connected_components(g)\n"
-        "ok = np.unique(labels)\n"
-    )
-    assert _scipy_labeller_calls(src) == [
-        "mod.py:2 action_to_percolation calls _csr",
-        "mod.py:3 action_to_percolation calls connected_components",
-        "mod.py:11 label calls connected_components",
-        "mod.py:12 <module> calls connected_components",
     ]

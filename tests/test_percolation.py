@@ -1,8 +1,10 @@
 """Cayley balls, bond percolation, cluster labels and sweep kernels, the
 exact action/configuration dictionary, and word-length scales."""
 
+import functools
 import inspect
 import itertools
+import json
 import math
 import os
 import random
@@ -41,6 +43,7 @@ from erglab import (
     sweep,
 )
 from erglab import percolation
+from erglab.cli import main as cli_main
 from erglab.errors import get_cap
 from erglab.percolation import (
     _ball_prefix,
@@ -49,7 +52,6 @@ from erglab.percolation import (
     _contract_chunk,
     _free_ball,
     _FreeWords,
-    _hook_labels,
     _unionfind_labels,
     _zd_ball,
     _ZdCodes,
@@ -810,18 +812,19 @@ def test_contraction_chunk_counts_only_its_own_trials(name):
 
 
 def test_contraction_kernel_labels_once_per_point_that_opens_edges(monkeypatch):
-    # each call gets the edges that open at its point, on the components of
-    # the edges opened before it: p = 0 and the sliver [0.2, 0.2 + 1e-9)
-    # open nothing, so they cost no call
+    # each call gets exactly the edges that open at its point, with ends
+    # that are the least members of the components of the edges opened
+    # before it: p = 0 and the sliver [0.2, 0.2 + 1e-9) open nothing, so
+    # they cost no call
     zd = ZdModel(2)
     ball = cayley_ball(zd, zd.basis_generators(), 6)
     grid = [0.5, 0.0, 0.2 + 1e-9, 0.2, 1.0, 0.5, 0.35]
     real = percolation.connected_components
     calls = []
 
-    def spy(graph):
-        calls.append((graph.shape[0], graph.nnz))
-        return real(graph)
+    def spy(n, a, b):
+        calls.append((n, a.tolist(), b.tolist()))
+        return real(n, a, b)
 
     monkeypatch.setattr(percolation, "connected_components", spy)
     _contract_chunk(ball, grid, 3, 11, 5, [])
@@ -830,10 +833,11 @@ def test_contraction_kernel_labels_once_per_point_that_opens_edges(monkeypatch):
         u = uniforms(5, trial, ball.edge_count)
         before = np.zeros(ball.edge_count, dtype=bool)
         for p in sorted(set(grid)):
-            opening = np.count_nonzero((u < p) & ~before)
-            if opening:
-                clusters = len(np.unique(_unionfind_labels(ball, before)))
-                want.append((clusters, opening))
+            opening = np.flatnonzero((u < p) & ~before)
+            if len(opening):
+                least = _unionfind_labels(ball, before)
+                ends = least[ball.edges[opening]]
+                want.append((ball.vertex_count, ends[:, 0].tolist(), ends[:, 1].tolist()))
             before = u < p
     assert calls == want
     assert len(want) == 8 * 4
@@ -842,10 +846,9 @@ def test_contraction_kernel_labels_once_per_point_that_opens_edges(monkeypatch):
 LATTICE_GRID = [0.40, 0.44, 0.47, 0.50, 0.53, 0.56, 0.60]
 # Peak traced allocations of `_contract_chunk` over 10 trials on the Z^2
 # radius-64 ball (built beforehand), with three targets. The bounds are
-# the peaks of the kernel before the int32 CSR build (one searchsorted
-# bucket per trial, int64 CSR arrays): 1.26 MiB at one point and 0.89 MiB
-# at seven, with numpy 2.4.6 and scipy 1.17.1. The kernel peaks at about
-# 0.76 and 0.79 MiB, in the draw.
+# the peaks of an earlier kernel that built int64 CSR arrays for a sparse
+# labeller: 1.26 MiB at one point and 0.89 MiB at seven, with numpy 2.4.6.
+# The kernel now peaks at about 0.87 and 0.78 MiB.
 @pytest.mark.parametrize(
     "grid, bound_mib", [([0.5], 1.26), (LATTICE_GRID, 0.89)], ids=["one-point", "seven-points"]
 )
@@ -853,7 +856,7 @@ def test_contraction_kernel_peak_allocation(grid, bound_mib):
     zd = ZdModel(2)
     ball = cayley_ball(zd, zd.basis_generators(), 64)
     tidx = [ball.index_of(t) for t in [(1, 0), (0, 1), (8, 8)]]
-    # the warm call imports scipy and runs its first-call set-up, neither the kernel's
+    # the warm call runs numpy's first-call set-up, which is not the kernel's
     _contract_chunk(ball, grid, 0, 1, 1, tidx)
     tracemalloc.start()
     try:
@@ -916,6 +919,134 @@ def test_tree_theta_recursion_on_the_smallest_balls():
     assert _tree_theta(p, 1, 2) == 1 - (1 - p * p) ** 2
 
 
+Z2_R2_TARGETS = [(1, 0), (1, 1)]
+
+
+@functools.cache
+def _z2_r2_exact() -> dict[str, list[int]]:
+    """Exact integer polynomials in p on the Z^2 ball of radius 2 (13
+    vertices, 16 edges), from all 2^16 configurations: θ, τ at each of
+    `Z2_R2_TARGETS`, and the first two moments of the boundary-cluster
+    count B, as coefficient lists (lowest degree first).
+
+    The configurations are labelled by a union-find over the edges in
+    order, run on all of them at once: find chases parents, and union
+    hooks the larger root under the smaller, so labels are least members.
+    A spread of configurations is checked against `cluster_labels`'s
+    union-find, one at a time.
+    """
+    zd = ZdModel(2)
+    ball = cayley_ball(zd, zd.basis_generators(), 2)
+    n, m = ball.vertex_count, ball.edge_count
+    codes = np.arange(2**m)
+    opened = (codes[:, None] >> np.arange(m) & 1).astype(bool)
+    parent = np.tile(np.arange(n), (len(codes), 1))
+
+    def find(v: int) -> np.ndarray:
+        root = np.full(len(codes), v)
+        while not np.array_equal(up := parent[codes, root], root):
+            root = up
+        return root
+
+    for k, (i, j) in enumerate(ball.edges.tolist()):
+        ri, rj = find(i), find(j)
+        sel = opened[:, k]
+        parent[codes[sel], np.maximum(ri, rj)[sel]] = np.minimum(ri, rj)[sel]
+    labels = np.stack([find(v) for v in range(n)], axis=1)
+    for code in range(0, len(codes), 257):
+        assert np.array_equal(labels[code], _unionfind_labels(ball, opened[code]))
+
+    tidx = [ball.index_of(t) for t in Z2_R2_TARGETS]
+    bl = np.sort(labels[:, ball.boundary.start :], axis=1)
+    b = 1 + np.count_nonzero(bl[:, 1:] != bl[:, :-1], axis=1)
+    indicators = {
+        "theta": (bl == labels[:, :1]).any(axis=1),
+        **{f"tau{t}": labels[:, v] == labels[:, 0] for t, v in enumerate(tidx)},
+        "b": b,
+        "b2": b * b,
+    }
+    k_open = opened.sum(axis=1)
+    polys = {}
+    for name, x in indicators.items():
+        # sum over k of c_k p^k (1 - p)^(m - k), with c_k the total of x over
+        # the configurations that open k edges
+        c = np.bincount(k_open, weights=x, minlength=m + 1).astype(np.int64).tolist()
+        polys[name] = [
+            sum(c[k] * math.comb(m - k, d - k) * (-1) ** (d - k) for k in range(d + 1))
+            for d in range(m + 1)
+        ]
+    return polys
+
+
+def _poly_at(coeffs: list[int], p: Fraction) -> Fraction:
+    return sum(c * p**d for d, c in enumerate(coeffs))
+
+
+def test_z2_radius_2_exact_polynomials():
+    polys = _z2_r2_exact()
+    assert all(isinstance(c, int) for coeffs in polys.values() for c in coeffs)
+    # θ needs a path to the sphere: 12 of two edges (one to each axis
+    # point, two to each diagonal one); all open joins everything
+    assert polys["theta"][:3] == [0, 0, 12]
+    # τ to (1, 0): its own edge first; τ to (1, 1): its two 2-edge paths
+    assert polys["tau0"][:2] == [0, 1]
+    assert polys["tau1"][:3] == [0, 0, 2]
+    for name in ("theta", "tau0", "tau1"):
+        assert _poly_at(polys[name], Fraction(0)) == 0
+        assert _poly_at(polys[name], Fraction(1)) == 1
+    # B: the 8 sphere vertices apart at p = 0, one cluster at p = 1
+    assert [_poly_at(polys["b"], Fraction(p)) for p in (0, 1)] == [8, 1]
+    assert [_poly_at(polys["b2"], Fraction(p)) for p in (0, 1)] == [64, 1]
+
+
+def _assert_near_z2_r2_exact(p: float, trials: int, theta: int, btotal: int, taus, bound: float):
+    polys = _z2_r2_exact()
+    q = Fraction(str(p))
+    assert abs(_binomial_z(theta, trials, _poly_at(polys["theta"], q))) <= bound
+    for t, count in enumerate(taus):
+        assert abs(_binomial_z(count, trials, _poly_at(polys[f"tau{t}"], q))) <= bound
+    mean = _poly_at(polys["b"], q)
+    var = _poly_at(polys["b2"], q) - mean**2
+    assert abs(float((btotal - trials * mean) / math.sqrt(trials * var))) <= bound
+
+
+def test_contraction_kernel_sweep_matches_the_exact_z2_values():
+    # seed, trials, grid and bound were fixed before the first run; a z-score
+    # past the bound is a kernel defect to investigate, not a seed to change
+    trials, bound = 3000, 4.0
+    grid = [0.2, 0.35, 0.5, 0.65, 0.8]
+    zd = ZdModel(2)
+    ball = cayley_ball(zd, zd.basis_generators(), 2)
+    assert not ball.is_tree()
+    res = sweep(ball, grid, trials=trials, seed=21, targets=Z2_R2_TARGETS)
+    for row in res.rows:
+        assert row.trials == trials
+        _assert_near_z2_r2_exact(
+            row.p, trials, row.theta_count, row.boundary_total, row.tau_counts, bound
+        )
+
+
+def test_percolate_command_matches_the_exact_z2_values(tmp_path):
+    # fixed before the first run, as for the sweep above
+    trials, bound, p = 3000, 4.0, 0.5
+    out = tmp_path / "p.json"
+    code = cli_main([
+        "percolate", "--model", "z2", "--radius", "2", "--p", str(p), "--trials", str(trials),
+        "--seed", "22", "--targets", "1,0;1,1", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["trials"] == trials
+
+    def count(hat: float) -> int:
+        return round(hat * trials)
+
+    taus = [count(report["tau_hat"][lab]) for lab in ("(1,0)", "(1,1)")]
+    _assert_near_z2_r2_exact(
+        p, trials, count(report["theta_hat"]), count(report["boundary_clusters_mean"]), taus, bound
+    )
+
+
 def test_sweep_monotone_under_crn(f2_ball):
     res = sweep(f2_ball, [0.1, 0.2, 0.3, 0.4, 0.5, 0.7], trials=20, seed=13)
     assert res.monotone_exact
@@ -930,7 +1061,7 @@ def test_sweep_validates_inputs(z2_ball):
         sweep(z2_ball, [0.5], trials=0, seed=1)
 
 
-# -- the dictionary's block labeller --------------------------------------------------------
+# -- the cluster labeller ------------------------------------------------------------------
 
 
 def _least_member_labels(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -938,39 +1069,39 @@ def _least_member_labels(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array([rel.class_of(v)[0] for v in range(n)], dtype=np.int64)
 
 
-def _assert_hook_labels_match_the_union_find(n: int, pairs: list[tuple[int, int]]) -> None:
+def _assert_labels_match_the_union_find(n: int, pairs: list[tuple[int, int]]) -> None:
     a = np.array([x for x, _ in pairs], dtype=np.int64)
     b = np.array([y for _, y in pairs], dtype=np.int64)
-    got = _hook_labels(n, a, b)
+    got = percolation.connected_components(n, a, b)
     assert np.array_equal(got, _least_member_labels(n, pairs))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_hook_labels_are_the_union_find_least_members(data):
+def test_connected_components_are_the_union_find_least_members(data):
     # no edges, self-loops, duplicate edges and isolated vertices all occur
     n = data.draw(st.integers(1, 24))
     vertex = st.integers(0, n - 1)
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
     pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
-    _assert_hook_labels_match_the_union_find(n, pairs)
+    _assert_labels_match_the_union_find(n, pairs)
 
 
-def test_hook_labels_on_graphs_that_need_several_rounds_and_jumps():
+def test_connected_components_on_graphs_that_need_several_rounds_and_jumps():
     n = 64
     # ids alternate low and high along a path: the first round pairs each
     # high vertex with a low one, and only later rounds join the pairs
     zigzag = [v for i in range(n // 2) for v in (i, n - 1 - i)]
-    _assert_hook_labels_match_the_union_find(n, list(itertools.pairwise(zigzag)))
+    _assert_labels_match_the_union_find(n, list(itertools.pairwise(zigzag)))
     # a path in decreasing id order hooks into one chain of depth n - 1,
     # which takes log2(n) pointer jumps to flatten
-    _assert_hook_labels_match_the_union_find(n, [(v, v - 1) for v in range(n - 1, 0, -1)])
+    _assert_labels_match_the_union_find(n, [(v, v - 1) for v in range(n - 1, 0, -1)])
     # the same path with a pendant leaf below every vertex, and two
     # components beside isolated vertices
     pendant = [(v, v - 1) for v in range(n // 2 - 1, 0, -1)] + [(v, n // 2 + v) for v in range(n // 2)]
-    _assert_hook_labels_match_the_union_find(n, pendant)
-    _assert_hook_labels_match_the_union_find(n, [(9, 3), (3, 20), (40, 7), (7, 7), (40, 7)])
-    _assert_hook_labels_match_the_union_find(n, [])
+    _assert_labels_match_the_union_find(n, pendant)
+    _assert_labels_match_the_union_find(n, [(9, 3), (3, 20), (40, 7), (7, 7), (40, 7)])
+    _assert_labels_match_the_union_find(n, [])
 
 
 # -- the dictionary -----------------------------------------------------------------------
@@ -1418,12 +1549,12 @@ with open("/proc/self/status") as status:
 """
 # Peak RSS in MB of a fresh process that builds the F_2 radius-13 ball
 # (3,188,645 vertices) and sweeps it: about 287 MB with numpy 2.4 on
-# Linux (a tree sweep never imports scipy). The child reads its own
-# VmHWM in kilobytes, not ru_maxrss: exec keeps the maxrss of the
-# process that started it, so under a pytest process that once held
-# 525 MB ru_maxrss reads 525 MB whatever the sweep takes. The bound
-# keeps 50% headroom; a kernel that holds a few more ball-sized arrays,
-# a boundary tuple or a second parent array per sweep goes past it.
+# Linux. The child reads its own VmHWM in kilobytes, not ru_maxrss:
+# exec keeps the maxrss of the process that started it, so under a
+# pytest process that once held 525 MB ru_maxrss reads 525 MB whatever
+# the sweep takes. The bound keeps 50% headroom; a kernel that holds a
+# few more ball-sized arrays, a boundary tuple or a second parent array
+# per sweep goes past it.
 F2_R13_PEAK_MB = 430
 
 
