@@ -179,7 +179,7 @@ class CayleyBall:
     radius: int
     distances: np.ndarray
     # (E, 2) int64, each row (i, j) with i < j; rows sorted by their first
-    # column, which the contraction kernel's first labelling relies on
+    # column
     edges: np.ndarray
     boundary: range
     _store: object = field(repr=False)
@@ -831,20 +831,48 @@ def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nothing hooks onto it) has a smaller root beside it in the next, so
     every two rounds at least halve the components that still have
     edges: O(log n) rounds.
+
+    Round 1 starts on the identity, so the ends are their own roots and
+    are read as given. A round returns as soon as no edge crosses, and
+    filters the edges only if some do not: `cross.any()` comes first
+    because `cross.all()` holds on an empty edge list, which would then
+    loop forever. Before a round hooks, every vertex points at a root,
+    and the hooking moves only the hooked roots `hi`. So when fewer than
+    n/4 ends are hooked, the round jumps over `hi` alone until each
+    points at a root, and then one jump over all n vertices carries every
+    other vertex through its old root to the new one; with more, it jumps
+    over all n until stable. Either way every vertex ends the round at
+    its root, so the rounds and their O(log n) bound are those above.
+    Gathers and scatters use `take` and `put`, which skip the general
+    indexing path of `parent[idx]`; a scatter costs more per element
+    than a gather, hence the margin of n/4 over n.
     """
     parent = np.arange(n)
+    ra, rb = a, b
     while True:
-        ra, rb = parent[a], parent[b]
         cross = ra != rb
         if not cross.any():
             return parent
-        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+        if not cross.all():
+            keep = np.flatnonzero(cross)
+            a, b, ra, rb = a.take(keep), b.take(keep), ra.take(keep), rb.take(keep)
+        hi = np.maximum(ra, rb)
+        np.minimum.at(parent, hi, np.minimum(ra, rb))
+        if 4 * len(hi) < n:
+            while True:
+                up = parent.take(hi)
+                jumped = parent.take(up)
+                if np.array_equal(jumped, up):
+                    break
+                parent.put(hi, jumped)
+            parent = parent.take(parent)
+        else:
+            while True:
+                jumped = parent.take(parent)
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+        ra, rb = parent.take(a), parent.take(b)
 
 
 def _contract_chunk(
@@ -868,6 +896,7 @@ def _contract_chunk(
     least member. The statistics only compare ids, so each grid point
     gathers `cur` at the root, the targets and the boundary, with no
     relabelling, and a trial folds those rows into the counters at once.
+    Every gather is a `take`.
     """
     n, m = ball.vertex_count, ball.edge_count
     grid = np.unique(np.array(p_list, dtype=np.float64))
@@ -891,8 +920,8 @@ def _contract_chunk(
             new = np.flatnonzero(fresh)
             before, now = now, fresh
             if len(new):
-                cur = connected_components(n, cur[ei[new]], cur[ej[new]])[cur]
-            seen[j] = cur[watch]
+                cur = connected_components(n, cur.take(ei[new]), cur.take(ej[new])).take(cur)
+            seen[j] = cur.take(watch)
 
     totals = np.zeros((len(grid), 2 + nt), dtype=np.int64)
     for trial in range(lo, hi):

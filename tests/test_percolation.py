@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import erglab
@@ -848,7 +849,7 @@ LATTICE_GRID = [0.40, 0.44, 0.47, 0.50, 0.53, 0.56, 0.60]
 # radius-64 ball (built beforehand), with three targets. The bounds are
 # the peaks of an earlier kernel that built int64 CSR arrays for a sparse
 # labeller: 1.26 MiB at one point and 0.89 MiB at seven, with numpy 2.4.6.
-# The kernel now peaks at about 0.87 and 0.78 MiB.
+# The kernel now peaks at about 0.80 and 0.73 MiB.
 @pytest.mark.parametrize(
     "grid, bound_mib", [([0.5], 1.26), (LATTICE_GRID, 0.89)], ids=["one-point", "seven-points"]
 )
@@ -1069,10 +1070,22 @@ def _least_member_labels(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array([rel.class_of(v)[0] for v in range(n)], dtype=np.int64)
 
 
+def _no_labels(signum, frame):
+    raise AssertionError("connected_components did not return within 2 s")
+
+
 def _assert_labels_match_the_union_find(n: int, pairs: list[tuple[int, int]]) -> None:
     a = np.array([x for x, _ in pairs], dtype=np.int64)
     b = np.array([y for _, y in pairs], dtype=np.int64)
-    got = percolation.connected_components(n, a, b)
+    # a labeller that never returns fails here rather than hanging the suite;
+    # every graph here takes milliseconds
+    previous = signal.signal(signal.SIGALRM, _no_labels)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        got = percolation.connected_components(n, a, b)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(got, _least_member_labels(n, pairs))
 
 
@@ -1102,6 +1115,34 @@ def test_connected_components_on_graphs_that_need_several_rounds_and_jumps():
     _assert_labels_match_the_union_find(n, pendant)
     _assert_labels_match_the_union_find(n, [(9, 3), (3, 20), (40, 7), (7, 7), (40, 7)])
     _assert_labels_match_the_union_find(n, [])
+    # 7 hooks onto 3 in round 1 and 3 onto 0 in round 2, both rounds with
+    # fewer than n/4 hooked ends: 7 reaches 0 only through the full jump
+    # that follows the jumps over the hooked roots
+    _assert_labels_match_the_union_find(n, [(3, 7), (0, 5), (5, 3)])
+
+
+# A round with fewer than n/4 hooked ends compresses over the hooked roots
+# alone; one with more compresses over all n vertices. Sparse edge lists
+# (the empty one included) take the first path from round 1, dense ones
+# the second and then the first as their components merge. The kernel's
+# later grid points pass ends that are already least-member ids. No
+# shrinking: a labeller that hangs would cost 2 s per shrink step, and the
+# failing (n, m, seed) is reported as drawn.
+@pytest.mark.parametrize("ends", ["vertices", "least-member ids"])
+@pytest.mark.parametrize("density", ["below n/4", "above n/4"])
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_connected_components_on_large_graphs_through_both_compressions(density, ends, data):
+    n = data.draw(st.integers(200, 2000))
+    low, high = (0, n // 4 - 1) if density == "below n/4" else (n // 2, 2 * n)
+    m = data.draw(st.integers(low, high))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    if ends == "least-member ids":
+        earlier = rng.integers(0, n, (n // 2, 2)).tolist()
+        least = _least_member_labels(n, earlier)
+        a, b = least[a], least[b]
+    _assert_labels_match_the_union_find(n, list(zip(a.tolist(), b.tolist())))
 
 
 # -- the dictionary -----------------------------------------------------------------------
